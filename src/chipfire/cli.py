@@ -97,21 +97,12 @@ def _verify_cell(N: int, k: int) -> str | None:
     mismatch.
     """
     sim = engine.simulate_layers(N, k)
-    cfg = numerics.stable_config(N, k)
-    if sim.stable_chips != cfg.c:
-        return (f"stable config mismatch at N={N}, k={k}: "
-                f"engine {sim.stable_chips}, formula {cfg.c}")
-    for i in range(cfg.n):
-        expect = formulas.vertex_fires(N, k, i)
-        if sim.fires_by_layer[i] != expect:
-            return (f"vertex fires mismatch at N={N}, k={k}, layer index {i}: "
-                    f"engine {sim.fires_by_layer[i]}, formula {expect}")
-    checks = (
-        ("root fires", sim.root_fires, formulas.root_fires(N, k)),
-        ("root fires recursion", sim.root_fires, formulas.root_fires_rec(N, k)),
-        ("total fires", sim.total_fires, formulas.total_fires(N, k)),
-        ("total fires recursion", sim.total_fires, formulas.total_fires_rec(N, k)),
-    )
+    checks = [("stable config", sim.stable_chips, numerics.stable_config(N, k).c),
+              ("vertex fires", sim.fires_by_layer, formulas.fire_profile(N, k).f)]
+    for quantity, got in (("root_fires", sim.root_fires),
+                          ("total_fires", sim.total_fires)):
+        checks += [(f"{quantity} by {route.__name__}", got, route(N, k))
+                   for route in formulas.ROUTES[quantity]]
     for label, got, expect in checks:
         if got != expect:
             return f"{label} mismatch at N={N}, k={k}: engine {got}, formula {expect}"
@@ -141,6 +132,8 @@ def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k)
     if args.N < 1:
         raise ValueError(f"need N >= 1, got {args.N}")
+    if args.seeds < 1:
+        raise ValueError(f"need --seeds >= 1, got {args.seeds}")
     if args.strategies == "all":
         strategies = list(engine.STRATEGIES)
     elif args.strategies:
@@ -152,6 +145,8 @@ def cmd_verify(args) -> int:
     else:
         strategies = []
     node_max = args.node_N if args.node_N is not None else min(args.N, 300)
+    if node_max < 1:
+        raise ValueError(f"need --node-N >= 1, got {node_max}")
 
     for k in ks:
         for N in range(1, args.N + 1):
@@ -273,3 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

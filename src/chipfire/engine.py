@@ -20,6 +20,8 @@ Two engines are provided:
   the same count under the parallel strategy) and fires whole layers in
   batches, which makes it fast enough to serve as the oracle for the
   closed-form formulas over large ranges of N.
+
+Neither engine imports `formulas`; `_budget` proves their step budget.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from . import formulas
 from .numerics import height_index, repunit
 
 STRATEGIES = ("bfs", "max-chips", "random")
@@ -69,9 +70,31 @@ class SimResult:
                 self.root_fires, self.total_fires)
 
 
-def _empty_result(k: int) -> SimResult:
-    return SimResult(k=k, n=0, stable_chips=(), fires_by_layer=(),
-                     root_fires=0, total_fires=0, steps=0)
+def _budget(N: int, k: int) -> tuple[int, int]:
+    """Check N and k; return the height index n of N and the step budget.
+
+    No run fires more than N(n-1)/(k-1) times.  Let Phi be the sum of chip
+    depths, the root at depth 0.  A fire at depth d > 0 moves one chip up and
+    k down, and a root fire keeps one chip and moves k down, so every fire
+    raises Phi by k-1 or k.  Phi starts at 0 and the stable pile lies on
+    layers 1..n (the padding checks confirm it), so Phi <= N(n-1) throughout.
+    `steps` counts at most the total fires.
+    """
+    if N < 0:
+        raise ValueError(f"chip count must be >= 0, got {N}")
+    if k < 2:
+        raise ValueError(f"branching factor must be >= 2, got {k}")
+    n = height_index(N, k) if N else 0
+    return n, N * (n - 1) // (k - 1)
+
+
+def _result(k: int, stable: list[int], by_layer: list[int], steps: int) -> SimResult:
+    """Package one chip and one fire count per layer; root and total follow."""
+    return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
+                     fires_by_layer=tuple(by_layer),
+                     root_fires=by_layer[0] if by_layer else 0,
+                     total_fires=sum(f * k**i for i, f in enumerate(by_layer)),
+                     steps=steps)
 
 
 class _BfsFrontier:
@@ -161,28 +184,18 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     `seed` only matters for the random strategy.  Raises TreeSizeError when
     the run would touch more than NODE_BUDGET nodes and force is not set.
     """
-    if N < 0:
-        raise ValueError(f"chip count must be >= 0, got {N}")
-    if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if N == 0:
-        return _empty_result(k)
-
-    n = height_index(N, k)
+    n, budget = _budget(N, k)
+    frontier = _make_frontier(strategy, seed)
     depth = n + 1
     if repunit(n, k) > NODE_BUDGET and not force:
         raise TreeSizeError(
             f"N={N}, k={k} touches about {repunit(n, k)} nodes "
             f"(budget {NODE_BUDGET}); pass force=True to run anyway")
-    budget = 10 * formulas.total_fires(N, k) + 10**6
 
     threshold = k + 1
     root = (1, 0)
     chips: dict[tuple[int, int], int] = {root: N}
     fires: dict[tuple[int, int], int] = {}
-    frontier = _make_frontier(strategy, seed)
     if N >= threshold:
         frontier.offer(root, N)
 
@@ -255,10 +268,7 @@ def _collect(N: int, k: int, n: int, depth: int, chips: dict, fires: dict,
     if layer_chips.get(depth, {0}) != {0} or layer_fires.get(depth, {0}) != {0}:
         raise EngineError(f"padding layer {depth} saw activity (N={N}, k={k})")
 
-    total = sum(f * k**i for i, f in enumerate(by_layer))
-    return SimResult(k=k, n=n, stable_chips=tuple(stable),
-                     fires_by_layer=tuple(by_layer), root_fires=by_layer[0],
-                     total_fires=total, steps=steps)
+    return _result(k, stable, by_layer, steps)
 
 
 def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
@@ -270,16 +280,8 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
     layers are fired in batches (a batch of t counts as t parallel steps),
     so the run time is polynomial in the depth rather than in N.
     """
-    if N < 0:
-        raise ValueError(f"chip count must be >= 0, got {N}")
-    if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
-    if N == 0:
-        return _empty_result(k)
-
-    n = height_index(N, k)
+    n, budget = _budget(N, k)
     depth = n + 1
-    budget = 10 * formulas.total_fires(N, k) + 10**6
     threshold = k + 1
     chips = [0] * depth
     fires = [0] * depth
@@ -308,10 +310,9 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
             progressed = True
             if steps > budget:
                 raise EngineError(f"step budget {budget} exceeded at N={N}, k={k}")
-            if check_each_step:
-                if sum(c * k**j for j, c in enumerate(chips)) != N:
-                    raise EngineError(
-                        f"chip conservation broken at step {steps} (N={N}, k={k})")
+            if check_each_step and sum(c * k**j for j, c in enumerate(chips)) != N:
+                raise EngineError(
+                    f"chip conservation broken at step {steps} (N={N}, k={k})")
         if not progressed:
             break
 
@@ -322,7 +323,4 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
     if max(chips) > k:
         raise EngineError(f"stabilization finished above threshold (N={N}, k={k})")
 
-    total = sum(f * k**i for i, f in enumerate(fires[:n]))
-    return SimResult(k=k, n=n, stable_chips=tuple(chips[:n]),
-                     fires_by_layer=tuple(fires[:n]), root_fires=fires[0],
-                     total_fires=total, steps=steps)
+    return _result(k, chips[:n], fires[:n], steps)

@@ -1,10 +1,10 @@
 """Closed-form and recursive fire counts for chip-firing on the k-ary tree.
 
 Each quantity is implemented at least twice (closed form, recursion, and for
-the difference sequences a digit-replacement construction as well).  The
-composite entry points (`a_seq`, `b_seq`, `d0`, `D_diff`) cross-check their
-routes on every call; the test suite additionally checks everything against
-the simulation engine.
+the difference sequences a digit-replacement construction as well).  Routes
+are listed once, in `ROUTES`, and compared by `crosscheck`: `a_seq`, `b_seq`,
+`d0` and `D_diff` are one call to it each.  A route calls only its own family,
+and the engine that the tests check everything against imports nothing here.
 
 Conventions: N is the initial pile at the root, k >= 2 the branching factor,
 n = height_index(N, k), and layer indices i run 0..n-1 with layer index i
@@ -27,10 +27,6 @@ class FireProfile:
     n: int
     f: tuple[int, ...]
     total: int
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _layer_fires(c: tuple[int, ...], k: int, i: int) -> int:
@@ -83,7 +79,7 @@ def root_fires_rec(N: int, k: int) -> int:
     total = 0
     x = N
     while x > 0:
-        x = _ceil_div(x, k) - 1
+        x = (x - 1) // k  # ceil(x/k) - 1
         total += x
     return total
 
@@ -110,7 +106,7 @@ def total_fires_rec(N: int, k: int) -> int:
     while x > 0:
         total += weight * root_fires_rec(x, k)
         weight *= k
-        x = _ceil_div(x, k) - 1
+        x = (x - 1) // k
     return total
 
 
@@ -154,6 +150,19 @@ def divisibility_check(j: int, k: int) -> bool:
 
 # --- the unique-difference-value sequences a and b --------------------------
 
+def a_closed(n: int, k: int) -> int:
+    """a(n,k) in closed form: (k^(n+1) - (k-1)n - k) / (k-1)^2."""
+    return exact_div(k ** (n + 1) - (k - 1) * n - k, (k - 1) ** 2)
+
+
+def a_recursive(n: int, k: int) -> int:
+    """a(n,k) by the recursion a(n,k) = k*a(n-1,k) + n with a(1,k) = 1."""
+    a = 1
+    for j in range(2, n + 1):
+        a = k * a + j
+    return a
+
+
 def a_seq(n: int, k: int) -> int:
     """a(n,k) = k*a(n-1,k) + n with a(1,k) = 1; closed form cross-checked.
 
@@ -162,13 +171,20 @@ def a_seq(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    closed = exact_div(k ** (n + 1) - (k - 1) * n - k, (k - 1) ** 2)
-    a = 1
+    return crosscheck("a", n, k)
+
+
+def b_closed(n: int, k: int) -> int:
+    """b(n,k) in closed form: (k^n ((k-1)n - 1) + 1) / (k-1)^2."""
+    return exact_div(k**n * ((k - 1) * n - 1) + 1, (k - 1) ** 2)
+
+
+def b_recursive(n: int, k: int) -> int:
+    """b(n,k) by the recursion b(n,k) = n*k^(n-1) + b(n-1,k) with b(1,k) = 1."""
+    b = 1
     for j in range(2, n + 1):
-        a = k * a + j
-    if a != closed:
-        raise AssertionError(f"a({n},{k}): recursion {a} != closed form {closed}")
-    return a
+        b = j * k ** (j - 1) + b
+    return b
 
 
 def b_seq(n: int, k: int) -> int:
@@ -179,13 +195,7 @@ def b_seq(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    closed = exact_div(k**n * ((k - 1) * n - 1) + 1, (k - 1) ** 2)
-    b = 1
-    for j in range(2, n + 1):
-        b = j * k ** (j - 1) + b
-    if b != closed:
-        raise AssertionError(f"b({n},{k}): recursion {b} != closed form {closed}")
-    return b
+    return crosscheck("b", n, k)
 
 
 # --- difference sequences d0 and D ------------------------------------------
@@ -244,11 +254,7 @@ def d0_by_replacement(count: int, k: int) -> list[int]:
 
 def d0(m: int, k: int) -> int:
     """Difference of consecutive root-fire blocks, g0(m+1,k) - g0(m,k)."""
-    value = d0_formula(m, k)
-    rec = d0_recursive(m, k)
-    if value != rec:
-        raise AssertionError(f"d0({m},{k}): formula {value} != recursion {rec}")
-    return value
+    return crosscheck("d0", m, k)
 
 
 def D_recursive(m: int, k: int) -> int:
@@ -262,7 +268,7 @@ def D_recursive(m: int, k: int) -> int:
         if (x - 1) % k != 0:
             total += weight
             break
-        total += weight * d0(x, k)
+        total += weight * d0_recursive(x, k)
         weight *= k
         x = (x - 1) // k
     return total
@@ -270,7 +276,7 @@ def D_recursive(m: int, k: int) -> int:
 
 def D_via_a_seq(m: int, k: int) -> int:
     """Total-fires difference as a_seq evaluated at the d0 value."""
-    return a_seq(d0(m, k), k)
+    return a_closed(d0_formula(m, k), k)
 
 
 def D_explicit(m: int, k: int) -> int:
@@ -284,16 +290,30 @@ def D_explicit(m: int, k: int) -> int:
     n = height_index(m, k)
     r = repunit(n, k)
     j = n if m == r else nu(m - r, k) + 1
-    return exact_div(k ** (j + 1) - (k - 1) * j - k, (k - 1) ** 2)
+    return a_closed(j, k)
 
 
 def D_diff(m: int, k: int) -> int:
     """Difference of consecutive total-fire blocks, G(m+1,k) - G(m,k)."""
-    value = D_via_a_seq(m, k)
-    rec = D_recursive(m, k)
-    explicit = D_explicit(m, k)
-    if not value == rec == explicit:
-        raise AssertionError(
-            f"D({m},{k}): a-composition {value}, recursion {rec}, "
-            f"explicit {explicit} disagree")
-    return value
+    return crosscheck("D", m, k)
+
+
+# crosscheck reads this table on every call, so a replaced entry is seen at once
+ROUTES = {
+    "a": (a_closed, a_recursive),
+    "b": (b_closed, b_recursive),
+    "d0": (d0_formula, d0_recursive),
+    "D": (D_via_a_seq, D_recursive, D_explicit),
+    "root_fires": (root_fires, root_fires_rec),
+    "total_fires": (total_fires, total_fires_rec),
+}
+
+
+def crosscheck(quantity: str, *args: int) -> int:
+    """Run each route of `quantity` once; return their value or raise naming each."""
+    routes = ROUTES[quantity]
+    values = [route(*args) for route in routes]
+    if values.count(values[0]) != len(values):
+        detail = ", ".join(f"{r.__name__} {v}" for r, v in zip(routes, values))
+        raise AssertionError(f"{quantity}{args}: routes disagree: {detail}")
+    return values[0]

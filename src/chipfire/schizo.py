@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .formulas import a_seq
-from .numerics import DigitString
+from .numerics import DigitString, to_base
 
 DEFAULT_MIN_RUN = 4
 
@@ -44,33 +44,15 @@ class BlockReport:
     blocks: tuple[Block, ...]
 
 
-def _natural_digits(x: int, radix: int) -> DigitString:
-    digits = []
-    while x:
-        x, d = divmod(x, radix)
-        digits.append(d)
-    if not digits:
-        digits.append(0)
-    digits.reverse()
-    return DigitString(radix=radix, digits=tuple(digits))
-
-
-def _fixed_digits(x: int, radix: int, width: int) -> DigitString:
-    digits = []
-    for _ in range(width):
-        x, d = divmod(x, radix)
-        digits.append(d)
-    digits.reverse()
-    return DigitString(radix=radix, digits=tuple(digits))
-
-
 def _split_dump(subject: str, scaled: int, precision: int, radix: int) -> DigitDump:
-    scale = radix**precision
-    int_value, frac_value = divmod(scaled, scale)
-    return DigitDump(subject=subject,
-                     int_part=_natural_digits(int_value, radix),
-                     frac_part=_fixed_digits(frac_value, radix, precision),
-                     precision=precision)
+    int_value, frac_value = divmod(scaled, radix**precision)
+    # to_base rejects radix < 2, at which the width loop would never end
+    frac_part = to_base(frac_value, radix, precision)
+    width = 1
+    while radix**width <= int_value:
+        width += 1
+    return DigitDump(subject=subject, int_part=to_base(int_value, radix, width),
+                     frac_part=frac_part, precision=precision)
 
 
 def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:

@@ -12,9 +12,7 @@ from pathlib import Path
 
 from chipfire.engine import STRATEGIES, simulate, simulate_layers
 from chipfire.formulas import (
-    D_explicit,
-    D_recursive,
-    D_via_a_seq,
+    ROUTES,
     b_seq,
     d0_by_replacement,
     d0_formula,
@@ -22,10 +20,8 @@ from chipfire.formulas import (
     divisibility_check,
     fire_profile,
     root_fires,
-    root_fires_rec,
     special_total_fires,
     total_fires,
-    total_fires_rec,
 )
 from chipfire.numerics import stable_config
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
@@ -112,10 +108,11 @@ def test_criterion_4_sequence_listings():
 
 def test_criterion_5_identity_suite():
     with criterion(5, "closed forms, recursions, and constructions agree"):
-        for k in range(2, 11):
-            for N in range(1, 10001):
-                assert root_fires(N, k) == root_fires_rec(N, k), (N, k)
-                assert total_fires(N, k) == total_fires_rec(N, k), (N, k)
+        for quantity in ("root_fires", "total_fires"):
+            for k in range(2, 11):
+                for N in range(1, 10001):
+                    values = {route(N, k) for route in ROUTES[quantity]}
+                    assert len(values) == 1, (quantity, N, k)
         for k in (2, 3, 4, 5):
             replaced = d0_by_replacement(10000, k)
             for m in range(1, 10001):
@@ -123,7 +120,7 @@ def test_criterion_5_identity_suite():
                 assert v == d0_recursive(m, k) == replaced[m - 1], (m, k)
         for k in (2, 3, 4, 5, 6):
             for m in range(1, 10001):
-                assert D_via_a_seq(m, k) == D_recursive(m, k) == D_explicit(m, k), (m, k)
+                assert len({route(m, k) for route in ROUTES["D"]}) == 1, (m, k)
         for k in range(2, 11):
             running = 0
             for n in range(1, 31):

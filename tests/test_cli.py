@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -111,8 +113,8 @@ def test_verify_reports_first_mismatch(capsys, monkeypatch):
     from chipfire import formulas
 
     real = formulas.root_fires
-    monkeypatch.setattr(formulas, "root_fires",
-                        lambda N, k: real(N, k) + (N == 40))
+    monkeypatch.setitem(formulas.ROUTES, "root_fires",
+                        (lambda N, k: real(N, k) + (N == 40), formulas.root_fires_rec))
     code, out, _ = run(capsys, "verify", "-k", "2..3", "-N", "60")
     assert code == 1
     assert "FAIL" in out
@@ -127,6 +129,11 @@ def test_verify_rejects_bad_ranges(capsys):
     code, _, err = run(capsys, "verify", "-k", "2", "-N", "10",
                        "--strategies", "sideways")
     assert code == 2
+    for option in (("--seeds", "0"), ("--seeds", "-1"), ("--node-N", "0")):
+        code, out, err = run(capsys, "verify", "-k", "2", "-N", "5",
+                             "--strategies", "bfs", *option)
+        assert code == 2, option
+        assert "error:" in err and not out, option
 
 
 def test_schizo_table(capsys):
@@ -168,3 +175,15 @@ def test_arbitrary_precision_arguments(capsys):
     payload = json.loads(out)
     assert payload["N"] == 10**30
     assert payload["total_fires"] > 0
+
+
+def test_module_runs_as_script():
+    # the child finds chipfire the way this process did (PYTHONPATH or install)
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "chipfire.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli_run("stable", "-N", "9", "-k", "3")
+    assert done.returncode == 0
+    assert "n = 2" in done.stdout
+    assert cli_run("stable", "-N", "0", "-k", "3").returncode == 2

@@ -1,8 +1,11 @@
+import ast
 import os
 
 import pytest
 
+from chipfire import engine
 from chipfire.engine import STRATEGIES, TreeSizeError, simulate, simulate_layers
+from chipfire.formulas import total_fires
 from chipfire.numerics import height_index, repunit, stable_config
 
 FULL = os.environ.get("CHIPFIRE_FULL") == "1"
@@ -103,6 +106,28 @@ def test_last_layer_stays_silent():
         for n in range(1, 6):
             r = simulate(repunit(n, k), k)
             assert r.fires_by_layer[-1] == 0
+
+
+def test_engine_imports_no_formulas():
+    # the oracle must not depend on the code it checks
+    with open(engine.__file__) as source:
+        tree = ast.parse(source.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "formulas" not in (node.module or ""), ast.dump(node)
+            assert all(a.name != "formulas" for a in node.names), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all("formulas" not in a.name for a in node.names), ast.dump(node)
+
+
+def test_step_budget_bounds_total_fires():
+    # the engines' budget N(n-1)/(k-1) must never cut a correct run short
+    piles = [(N, k) for k in range(2, 9) for N in range(1, 5000)]
+    piles += [(N, k) for k in range(2, 9) for N in (10**50 + 7, 3**100, 2**300 - 1)]
+    for N, k in piles:
+        n = height_index(N, k)
+        assert total_fires(N, k) <= N * (n - 1) // (k - 1), (N, k)
+    assert total_fires(5, 4) == 5 * (2 - 1) // (4 - 1)  # the bound is attained
 
 
 def test_node_budget_guard():

@@ -3,10 +3,8 @@ import pytest
 from chipfire import formulas
 from chipfire.engine import simulate, simulate_layers
 from chipfire.formulas import (
+    ROUTES,
     D_diff,
-    D_explicit,
-    D_recursive,
-    D_via_a_seq,
     a_seq,
     b_seq,
     d0,
@@ -113,10 +111,11 @@ def test_total_fires_recursion():
 
 
 def test_closed_forms_equal_recursions():
-    for k in range(2, 8):
-        for N in range(1, 1500):
-            assert root_fires(N, k) == root_fires_rec(N, k)
-            assert total_fires(N, k) == total_fires_rec(N, k)
+    for quantity in ("root_fires", "total_fires"):
+        for k in range(2, 8):
+            for N in range(1, 1500):
+                assert len({route(N, k) for route in ROUTES[quantity]}) == 1, (
+                    quantity, N, k)
 
 
 def test_formulas_match_engine():
@@ -225,7 +224,7 @@ def test_d0_is_g0_difference():
 def test_d0_routes_agree():
     for k in (2, 3, 4, 5):
         for m in range(1, 2000):
-            assert d0_formula(m, k) == d0_recursive(m, k)
+            assert len({route(m, k) for route in ROUTES["d0"]}) == 1, (m, k)
 
 
 def test_d0_replacement_construction():
@@ -250,7 +249,20 @@ def test_D_is_G_difference():
 def test_D_routes_agree():
     for k in (2, 3, 4, 5, 6):
         for m in range(1, 2000):
-            assert D_recursive(m, k) == D_via_a_seq(m, k) == D_explicit(m, k)
+            assert len({route(m, k) for route in ROUTES["D"]}) == 1, (m, k)
+
+
+def test_crosscheck_names_disagreeing_routes(monkeypatch):
+    def d0_off_by_one(m, k):
+        return d0_recursive(m, k) + 1
+
+    monkeypatch.setitem(formulas.ROUTES, "d0", (d0_formula, d0_off_by_one))
+    for check in (lambda: formulas.crosscheck("d0", 7, 2), lambda: d0(7, 2)):
+        with pytest.raises(AssertionError) as exc:
+            check()
+        message = str(exc.value)
+        for part in ("d0(7, 2)", "d0_formula 3", "d0_off_by_one 4"):
+            assert part in message
 
 
 def test_divisibility():
