@@ -1,9 +1,10 @@
 """Brute-force chip-firing on a truncated k-ary tree with a root self-loop.
 
-The tree is infinite, but a pile of N chips never pushes anything past layer
-n+1 where n is the height index of N, so the simulator allocates layers
-1..n+1 and treats any activity on the last (padding) layer as a soundness
-failure rather than a modelling choice.
+The tree is infinite, but a pile of N chips stabilizes on layers 1..n, where
+n is the height index of N, and no vertex of layer n ever fires.  Both
+engines therefore allocate layers 1..n only and raise EngineError as soon as
+a layer-n vertex would fire, since that is the only way a chip could leave
+the truncated tree.
 
 Firing semantics: a vertex may fire when it holds at least k+1 chips.  A
 non-root vertex then loses k+1 chips, sending one to its parent and one to
@@ -13,22 +14,32 @@ one.  Chips are conserved by every fire.
 
 Two engines are provided:
 
-* `simulate` works vertex by vertex on a sparse node map and supports three
-  firing-order strategies; by global confluence they must all agree, and the
-  verification suite checks that they do.
+* `simulate` works vertex by vertex and supports three firing-order
+  strategies; by global confluence they must all agree, and the
+  verification suite checks that they do.  Vertices are heap-numbered in
+  two flat lists of chips and fires: vertex 0 is the root, the children of
+  v are kv+1..kv+k, its parent is (v-1)//k, and layer i+1 is the index
+  range repunit(i)..repunit(i+1)-1.  One lazy heap holds the eligible
+  vertices: a vertex gets a fresh (key, count, v) entry whenever its count
+  changes to k+1 or more, and an entry whose count is no longer the
+  vertex's count is dropped when popped.  The strategy only sets the key:
+  v for "bfs" (heap numbering is (layer, offset) order), (-count, v) for
+  "max-chips", and a seeded random draw for "random", a random-priority
+  order.
 * `simulate_layers` exploits layer symmetry (every vertex on a layer carries
   the same count under the parallel strategy) and fires whole layers in
   batches, which makes it fast enough to serve as the oracle for the
   closed-form formulas over large ranges of N.
 
+Both engines end in `_result`, the one conservation and chip-range check.
 Neither engine imports `formulas`; `_budget` proves their step budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .numerics import height_index, repunit
 
@@ -52,9 +63,9 @@ class SimResult:
     """Measured outcome of one stabilization run.
 
     `stable_chips[i]` / `fires_by_layer[i]` refer to every vertex on layer
-    i+1.  `steps` counts single-vertex fires in `simulate` and layer-wide
-    parallel fires in `simulate_layers`; it is diagnostic only and excluded
-    from `observables`.
+    i+1, for layers 1..n, each vertex holding 1..k chips.  `steps` counts
+    single-vertex fires in `simulate` and layer-wide parallel fires in
+    `simulate_layers`; it is diagnostic only and excluded from `observables`.
     """
 
     k: int
@@ -76,9 +87,9 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     No run fires more than N(n-1)/(k-1) times.  Let Phi be the sum of chip
     depths, the root at depth 0.  A fire at depth d > 0 moves one chip up and
     k down, and a root fire keeps one chip and moves k down, so every fire
-    raises Phi by k-1 or k.  Phi starts at 0 and the stable pile lies on
-    layers 1..n (the padding checks confirm it), so Phi <= N(n-1) throughout.
-    `steps` counts at most the total fires.
+    raises Phi by k-1 or k.  Phi starts at 0, and no chip passes layer n
+    because both engines refuse to fire a layer-n vertex, so Phi <= N(n-1)
+    throughout.  `steps` counts at most the total fires.
     """
     if N < 0:
         raise ValueError(f"chip count must be >= 0, got {N}")
@@ -88,8 +99,18 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     return n, N * (n - 1) // (k - 1)
 
 
-def _result(k: int, stable: list[int], by_layer: list[int], steps: int) -> SimResult:
-    """Package one chip and one fire count per layer; root and total follow."""
+def _result(N: int, k: int, stable: list[int], by_layer: list[int],
+            steps: int) -> SimResult:
+    """End-of-run check of both engines, then package the per-layer counts.
+
+    Chips must be conserved and every layer must hold 1..k chips per vertex:
+    stable, and reached.  Root and total fires follow from the layer fires.
+    """
+    if sum(c * k**i for i, c in enumerate(stable)) != N:
+        raise EngineError(f"chip conservation broken at stabilization (N={N}, k={k})")
+    if not all(1 <= c <= k for c in stable):
+        raise EngineError(f"stable chips per layer {stable} not all in 1..{k} "
+                          f"(N={N}, k={k})")
     return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
                      fires_by_layer=tuple(by_layer),
                      root_fires=by_layer[0] if by_layer else 0,
@@ -97,82 +118,15 @@ def _result(k: int, stable: list[int], by_layer: list[int], steps: int) -> SimRe
                      steps=steps)
 
 
-class _BfsFrontier:
-    """Eligible nodes in (layer, offset) order; root-first BFS policy."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int]] = []
-        self._members: set[tuple[int, int]] = set()
-
-    def offer(self, node: tuple[int, int], count: int) -> None:
-        if node not in self._members:
-            self._members.add(node)
-            heapq.heappush(self._heap, node)
-
-    def take(self, chips: dict, threshold: int) -> tuple[int, int] | None:
-        if not self._heap:
-            return None
-        node = heapq.heappop(self._heap)
-        self._members.discard(node)
-        return node
-
-
-class _MaxChipsFrontier:
-    """Eligible nodes keyed by current chip count, largest first.
-
-    Entries go stale when a node's count changes after being pushed; a fresh
-    entry is pushed on every change, so stale ones are dropped on pop by
-    comparing against the live count.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int]] = []
-
-    def offer(self, node: tuple[int, int], count: int) -> None:
-        heapq.heappush(self._heap, (-count, node[0], node[1]))
-
-    def take(self, chips: dict, threshold: int) -> tuple[int, int] | None:
-        while self._heap:
-            neg, layer, off = heapq.heappop(self._heap)
-            node = (layer, off)
-            if chips.get(node, 0) == -neg and -neg >= threshold:
-                return node
-        return None
-
-
-class _RandomFrontier:
-    """Uniform random choice over eligible nodes, reproducible via the rng."""
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._items: list[tuple[int, int]] = []
-        self._pos: dict[tuple[int, int], int] = {}
-
-    def offer(self, node: tuple[int, int], count: int) -> None:
-        if node not in self._pos:
-            self._pos[node] = len(self._items)
-            self._items.append(node)
-
-    def take(self, chips: dict, threshold: int) -> tuple[int, int] | None:
-        if not self._items:
-            return None
-        i = self._rng.randrange(len(self._items))
-        node = self._items[i]
-        last = self._items[-1]
-        self._items[i] = last
-        self._pos[last] = i
-        self._items.pop()
-        del self._pos[node]
-        return node
-
-
-def _make_frontier(strategy: str, seed: int):
+def _priority(strategy: str, seed: int):
+    """The heap key of vertex v holding `count` chips under `strategy`."""
     if strategy == "bfs":
-        return _BfsFrontier()
+        return lambda v, count: v
     if strategy == "max-chips":
-        return _MaxChipsFrontier()
+        return lambda v, count: (-count, v)
     if strategy == "random":
-        return _RandomFrontier(random.Random(seed))
+        draw = random.Random(seed).random
+        return lambda v, count: draw()
     raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
@@ -185,90 +139,75 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     the run would touch more than NODE_BUDGET nodes and force is not set.
     """
     n, budget = _budget(N, k)
-    frontier = _make_frontier(strategy, seed)
-    depth = n + 1
-    if repunit(n, k) > NODE_BUDGET and not force:
+    key = _priority(strategy, seed)
+    size = repunit(n, k)
+    if size > NODE_BUDGET and not force:
         raise TreeSizeError(
-            f"N={N}, k={k} touches about {repunit(n, k)} nodes "
+            f"N={N}, k={k} touches about {size} nodes "
             f"(budget {NODE_BUDGET}); pass force=True to run anyway")
 
     threshold = k + 1
-    root = (1, 0)
-    chips: dict[tuple[int, int], int] = {root: N}
-    fires: dict[tuple[int, int], int] = {}
-    if N >= threshold:
-        frontier.offer(root, N)
+    last = size // k  # repunit(n - 1): the first vertex of layer n
+    chips = [0] * size
+    fires = [0] * size
+    if N:
+        chips[0] = N
+    heap = [(key(0, N), N, 0)] if N >= threshold else []
 
     steps = 0
-    while True:
-        node = frontier.take(chips, threshold)
-        if node is None:
-            break
-        layer, off = node
-        if layer >= depth:
+    while heap:
+        _, count, v = heappop(heap)
+        if chips[v] != count:
+            continue  # stale: v has gained or fired since this entry
+        if v >= last:
             raise EngineError(
-                f"vertex on padding layer {layer} fired (N={N}, k={k}); "
-                "chips would escape the truncated tree")
-        count = chips[node]
-        if layer == 1:
-            chips[node] = count - k  # one of the k+1 spent chips returns via the self-loop
-        else:
-            chips[node] = count - threshold
-            parent = (layer - 1, off // k)
-            pv = chips.get(parent, 0) + 1
+                f"vertex {v} on layer {n} would fire (N={N}, k={k}); "
+                "chips would leave the truncated tree")
+        if v:
+            count -= threshold
+            parent = (v - 1) // k
+            pv = chips[parent] + 1
             chips[parent] = pv
             if pv >= threshold:
-                frontier.offer(parent, pv)
-        base = off * k
-        for j in range(k):
-            child = (layer + 1, base + j)
-            cv = chips.get(child, 0) + 1
+                heappush(heap, (key(parent, pv), pv, parent))
+        else:
+            count -= k  # one of the k+1 spent chips returns via the self-loop
+        chips[v] = count
+        first = k * v + 1
+        for child in range(first, first + k):
+            cv = chips[child] + 1
             chips[child] = cv
             if cv >= threshold:
-                frontier.offer(child, cv)
-        fires[node] = fires.get(node, 0) + 1
+                heappush(heap, (key(child, cv), cv, child))
+        fires[v] += 1
         steps += 1
-        if chips[node] >= threshold:
-            frontier.offer(node, chips[node])
+        if count >= threshold:
+            heappush(heap, (key(v, count), count, v))
         if steps > budget:
             raise EngineError(f"step budget {budget} exceeded at N={N}, k={k}")
-        if check_each_step and sum(chips.values()) != N:
+        if check_each_step and sum(chips) != N:
             raise EngineError(f"chip conservation broken at step {steps} (N={N}, k={k})")
 
-    return _collect(N, k, n, depth, chips, fires, steps)
+    return _result(N, k, *_collect(N, k, n, chips, fires), steps)
 
 
-def _collect(N: int, k: int, n: int, depth: int, chips: dict, fires: dict,
-             steps: int) -> SimResult:
-    """Fold the sparse node maps into per-layer counts, checking symmetry."""
-    if sum(chips.values()) != N:
-        raise EngineError(f"chip conservation broken at stabilization (N={N}, k={k})")
-
-    layer_chips: dict[int, set[int]] = {}
-    layer_fires: dict[int, set[int]] = {}
-    layer_nodes: dict[int, int] = {}
-    for node, count in chips.items():
-        layer = node[0]
-        layer_nodes[layer] = layer_nodes.get(layer, 0) + 1
-        layer_chips.setdefault(layer, set()).add(count)
-        layer_fires.setdefault(layer, set()).add(fires.get(node, 0))
-
+def _collect(N: int, k: int, n: int, chips: list[int],
+             fires: list[int]) -> tuple[list[int], list[int]]:
+    """One chip and one fire count per layer, checking each layer's slice is uniform."""
     stable = []
     by_layer = []
+    lo = 0
     for layer in range(1, n + 1):
-        cvals = layer_chips.get(layer, {0})
-        fvals = layer_fires.get(layer, {0})
-        if len(cvals) != 1 or len(fvals) != 1:
+        hi = k * lo + 1  # repunit(layer) from repunit(layer - 1)
+        width = hi - lo
+        if (chips[lo:hi] != [chips[lo]] * width
+                or fires[lo:hi] != [fires[lo]] * width):
             raise EngineError(f"layer {layer} not symmetric at stabilization "
-                              f"(N={N}, k={k}): chips {cvals}, fires {fvals}")
-        if layer_nodes.get(layer, 0) != k ** (layer - 1):
-            raise EngineError(f"layer {layer} only partially reached (N={N}, k={k})")
-        stable.append(next(iter(cvals)))
-        by_layer.append(next(iter(fvals)))
-    if layer_chips.get(depth, {0}) != {0} or layer_fires.get(depth, {0}) != {0}:
-        raise EngineError(f"padding layer {depth} saw activity (N={N}, k={k})")
-
-    return _result(k, stable, by_layer, steps)
+                              f"(N={N}, k={k})")
+        stable.append(chips[lo])
+        by_layer.append(fires[lo])
+        lo = hi
+    return stable, by_layer
 
 
 def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
@@ -281,22 +220,23 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
     so the run time is polynomial in the depth rather than in N.
     """
     n, budget = _budget(N, k)
-    depth = n + 1
     threshold = k + 1
-    chips = [0] * depth
-    fires = [0] * depth
-    chips[0] = N
+    chips = [0] * n
+    fires = [0] * n
+    if N:
+        chips[0] = N
 
     steps = 0
     while True:
         progressed = False
-        for i in range(depth):
+        for i in range(n):
             count = chips[i]
             if count < threshold:
                 continue
-            if i + 1 >= depth:
+            if i + 1 == n:
                 raise EngineError(
-                    f"padding layer {depth} became eligible (N={N}, k={k})")
+                    f"layer {n} would fire (N={N}, k={k}); "
+                    "chips would leave the truncated tree")
             if i == 0:
                 t = (count - threshold) // k + 1  # root nets -k per fire
                 chips[0] = count - t * k
@@ -316,11 +256,4 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
         if not progressed:
             break
 
-    if chips[depth - 1] != 0 or fires[depth - 1] != 0:
-        raise EngineError(f"padding layer {depth} saw activity (N={N}, k={k})")
-    if sum(c * k**i for i, c in enumerate(chips)) != N:
-        raise EngineError(f"chip conservation broken at stabilization (N={N}, k={k})")
-    if max(chips) > k:
-        raise EngineError(f"stabilization finished above threshold (N={N}, k={k})")
-
-    return _result(k, chips[:n], fires[:n], steps)
+    return _result(N, k, chips, fires, steps)

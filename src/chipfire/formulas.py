@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import exact_div, height_index, nu, repunit, stable_config
+from .numerics import (_require_k, exact_div, height_index, nu, repunit,
+                       stable_config)
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,7 @@ def a_seq(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _require_k(k)
     return crosscheck("a", n, k)
 
 
@@ -195,6 +197,7 @@ def b_seq(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _require_k(k)
     return crosscheck("b", n, k)
 
 

@@ -159,6 +159,13 @@ def test_schizo_inverse_json(capsys):
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
+def test_schizo_rejects_small_k(capsys):
+    for k in ("0", "1", "-2"):
+        code, out, err = run(capsys, "schizo", "-k", k, "-n", "3", "-p", "5")
+        assert code == 2, k
+        assert "error: branching factor" in err and not out, k
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["stable", "-N", "9"])  # missing -k
@@ -177,10 +184,11 @@ def test_arbitrary_precision_arguments(capsys):
     assert payload["total_fires"] > 0
 
 
-def test_module_runs_as_script():
+@pytest.mark.parametrize("module", ["chipfire", "chipfire.cli"])
+def test_module_runs_as_script(module):
     # the child finds chipfire the way this process did (PYTHONPATH or install)
     def cli_run(*argv):
-        return subprocess.run([sys.executable, "-m", "chipfire.cli", *argv],
+        return subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, text=True, timeout=60)
 
     done = cli_run("stable", "-N", "9", "-k", "3")

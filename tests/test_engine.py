@@ -101,7 +101,7 @@ def test_node_matches_layers_and_stable_config():
 
 
 def test_last_layer_stays_silent():
-    # padding-layer activity would raise; a clean pass certifies f_(n-1) == 0
+    # a layer-n fire would raise; a clean pass certifies f_(n-1) == 0
     for k in (2, 3, 4):
         for n in range(1, 6):
             r = simulate(repunit(n, k), k)

@@ -286,6 +286,9 @@ def test_input_validation():
         a_seq(0, 3)
     with pytest.raises(ValueError):
         b_seq(0, 3)
+    for seq, k in ((a_seq, 0), (b_seq, 1), (a_seq, -2)):
+        with pytest.raises(ValueError, match="branching factor"):
+            seq(3, k)
     with pytest.raises(ValueError):
         special_root_fires(0, 3)
     with pytest.raises(ValueError):
