@@ -6,6 +6,16 @@ are listed once, in `ROUTES`, and compared by `crosscheck`: `a_seq`, `b_seq`,
 `d0` and `D_diff` are one call to it each.  A route calls only its own family,
 and the engine that the tests check everything against imports nothing here.
 
+The fire counts are written over the stable digits c_0..c_(n-1) of N and each
+is one pass over them, O(n) big-integer steps.  The fires per vertex come from
+the difference recurrences
+
+    delta_(n-1) = 0,  delta_i = c_(i+1) + k * delta_(i+1)   (fires_difference)
+    f_(n-1) = 0,      f_i = f_(i+1) + delta_i              (vertex_fires)
+
+which unroll to f_i = sum over j of repunit(j) * c_(i+j); root and total fires
+are closed forms summed with a running power of k.
+
 Conventions: N is the initial pile at the root, k >= 2 the branching factor,
 n = height_index(N, k), and layer indices i run 0..n-1 with layer index i
 naming the tree layer i+1 (so i = 0 is the root).
@@ -30,9 +40,15 @@ class FireProfile:
     total: int
 
 
-def _layer_fires(c: tuple[int, ...], k: int, i: int) -> int:
+def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
+    """f_i for every layer i, by the two difference recurrences in n steps."""
     n = len(c)
-    return sum(repunit(j, k) * c[i + j] for j in range(1, n - i))
+    f = [0] * n
+    delta = 0
+    for i in range(n - 2, -1, -1):
+        delta = c[i + 1] + k * delta
+        f[i] = f[i + 1] + delta
+    return f
 
 
 def _check_layer(i: int, n: int, upper_slack: int = 1) -> None:
@@ -41,21 +57,28 @@ def _check_layer(i: int, n: int, upper_slack: int = 1) -> None:
 
 
 def vertex_fires(N: int, k: int, i: int) -> int:
-    """Fires of each vertex on layer i+1: sum of repunit(j) * c_(i+j)."""
+    """Fires of each vertex on layer i+1: sum of repunit(j) * c_(i+j).
+
+    Evaluated by f_i = f_(i+1) + delta_i in O(n) steps.
+    """
     cfg = stable_config(N, k)
     _check_layer(i, cfg.n)
-    return _layer_fires(cfg.c, k, i)
+    return _fires_by_layer(cfg.c, k)[i]
 
 
 def fires_difference(N: int, k: int, i: int) -> int:
     """vertex_fires(N,k,i) - vertex_fires(N,k,i+1), from the chip counts alone.
 
     Equals the chips held by the descendants of one layer-(i+1) vertex in the
-    stable configuration, divided by k.
+    stable configuration, divided by k: sum of k^(j-i-1) * c_j over j > i,
+    a Horner sum (delta_i = c_(i+1) + k * delta_(i+1)) in O(n) steps.
     """
     cfg = stable_config(N, k)
     _check_layer(i, cfg.n, upper_slack=2)
-    return sum(k ** (j - i - 1) * cfg.c[j] for j in range(i + 1, cfg.n))
+    delta = 0
+    for c in reversed(cfg.c[i + 1:]):
+        delta = delta * k + c
+    return delta
 
 
 def vertex_fires_via_root(N: int, k: int, i: int) -> int:
@@ -67,10 +90,13 @@ def vertex_fires_via_root(N: int, k: int, i: int) -> int:
 
 
 def root_fires(N: int, k: int) -> int:
-    """Closed form for the number of root fires."""
+    """Closed form for the number of root fires, in O(n) steps.
+
+    The sum of repunit(j) * c_j = (k^j - 1) c_j / (k-1) is (N - sum c_j)/(k-1),
+    because sum c_j k^j = N.
+    """
     cfg = stable_config(N, k)
-    s = sum((k**j - 1) * cfg.c[j] for j in range(1, cfg.n))
-    return exact_div(s, k - 1)
+    return exact_div(N - sum(cfg.c), k - 1)
 
 
 def root_fires_rec(N: int, k: int) -> int:
@@ -86,10 +112,17 @@ def root_fires_rec(N: int, k: int) -> int:
 
 
 def total_fires(N: int, k: int) -> int:
-    """Closed form for the total number of fires across all vertices."""
+    """Closed form for the total number of fires across all vertices.
+
+    The sum of (m k^(m+1) - (m+1) k^m + 1) c_m / (k-1)^2, with p = k^m kept as
+    a running power so that the pass is O(n) steps.
+    """
     cfg = stable_config(N, k)
-    s = sum((m * k ** (m + 1) - (m + 1) * k**m + 1) * cfg.c[m]
-            for m in range(1, cfg.n))
+    s = 0
+    p = 1
+    for m, c in enumerate(cfg.c):
+        s += (p * (m * (k - 1) - 1) + 1) * c
+        p *= k
     return exact_div(s, (k - 1) ** 2)
 
 
@@ -112,10 +145,18 @@ def total_fires_rec(N: int, k: int) -> int:
 
 
 def fire_profile(N: int, k: int) -> FireProfile:
-    """All per-layer fire counts and the total, from the closed forms."""
+    """All per-layer fire counts and the total, in O(n) steps.
+
+    f comes from the difference recurrences.  Each of the k^i vertices on
+    layer i+1 fires f_i times, so the total is sum f_i k^i, a Horner sum over
+    f; the total_fires closed form stays a separate route.
+    """
     cfg = stable_config(N, k)
-    f = tuple(_layer_fires(cfg.c, k, i) for i in range(cfg.n))
-    return FireProfile(N=N, k=k, n=cfg.n, f=f, total=total_fires(N, k))
+    f = _fires_by_layer(cfg.c, k)
+    total = 0
+    for fi in reversed(f):
+        total = total * k + fi
+    return FireProfile(N=N, k=k, n=cfg.n, f=tuple(f), total=total)
 
 
 # --- the all-ones pile N = repunit(n, k) -----------------------------------
@@ -123,6 +164,7 @@ def fire_profile(N: int, k: int) -> FireProfile:
 def special_vertex_fires(n: int, k: int, i: int) -> int:
     """vertex_fires at N = repunit(n, k), where every layer holds one chip."""
     _check_layer(i, n)
+    _require_k(k)
     m = n - i
     return exact_div(k**m - k * m + m - 1, (k - 1) ** 2)
 
@@ -131,6 +173,7 @@ def special_root_fires(n: int, k: int) -> int:
     """root_fires at N = repunit(n, k)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _require_k(k)
     return exact_div(k**n - n * k + (n - 1), (k - 1) ** 2)
 
 
@@ -138,6 +181,7 @@ def special_total_fires(n: int, k: int) -> int:
     """total_fires at N = repunit(n, k)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _require_k(k)
     return exact_div((k * (n - 1) - n - 1) * k**n + k * (n + 1) - n + 1,
                      (k - 1) ** 3)
 
@@ -146,6 +190,7 @@ def divisibility_check(j: int, k: int) -> bool:
     """Whether 2(k+1) divides total_fires(repunit(2j+1, k), k).  Always true."""
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
+    _require_k(k)
     return special_total_fires(2 * j + 1, k) % (2 * (k + 1)) == 0
 
 

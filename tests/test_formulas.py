@@ -1,6 +1,6 @@
 import pytest
 
-from chipfire import formulas
+from chipfire import formulas, numerics
 from chipfire.engine import simulate, simulate_layers
 from chipfire.formulas import (
     ROUTES,
@@ -147,6 +147,26 @@ def test_fire_profile_shape():
     assert p.total == sum(f * p.k**i for i, f in enumerate(p.f))
 
 
+def test_fire_profile_takes_the_linear_path(monkeypatch):
+    calls = 0
+
+    def counted_repunit(n, k):
+        nonlocal calls
+        calls += 1
+        return repunit(n, k)
+
+    monkeypatch.setattr(numerics, "repunit", counted_repunit)
+    monkeypatch.setattr(formulas, "repunit", counted_repunit)
+    assert fire_profile(10**200 + 7, 2).n == 664
+    assert calls <= 2  # stable_config needs one; a per-term repunit sum makes ~n^2/2
+
+    N = 10**99 + 12345
+    p = fire_profile(N, 3)
+    sim = simulate_layers(N, 3)
+    assert p.f == sim.fires_by_layer
+    assert p.total == sim.total_fires
+
+
 def test_special_vertex_fires():
     for n in range(1, 10):
         for i in range(n):
@@ -289,6 +309,13 @@ def test_input_validation():
     for seq, k in ((a_seq, 0), (b_seq, 1), (a_seq, -2)):
         with pytest.raises(ValueError, match="branching factor"):
             seq(3, k)
+    for k in (1, 0, -2):
+        for call in (lambda: special_vertex_fires(3, k, 0),
+                     lambda: special_root_fires(3, k),
+                     lambda: special_total_fires(3, k),
+                     lambda: divisibility_check(1, k)):
+            with pytest.raises(ValueError, match="branching factor must be >= 2"):
+                call()
     with pytest.raises(ValueError):
         special_root_fires(0, 3)
     with pytest.raises(ValueError):

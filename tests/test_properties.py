@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from chipfire.engine import STRATEGIES, simulate, simulate_layers
+from chipfire.formulas import (fire_profile, fires_difference, root_fires,
+                               total_fires, vertex_fires)
 from chipfire.numerics import stable_config
 
 
@@ -40,3 +42,28 @@ def test_every_firing_order_is_confluent(N, k, strategy, seed):
 def test_stable_config_conserves_chips(N, k):
     cfg = stable_config(N, k)
     assert sum(c * k**i for i, c in enumerate(cfg.c)) == N
+
+
+@bounded(300)
+@given(N=st.integers(1, 10**80 - 1), k=st.integers(2, 64), data=st.data())
+def test_fire_counts_equal_their_definitional_sums(N, k, data):
+    # the per-term sums over the stable digits that the linear passes replace
+    c = stable_config(N, k).c
+    n = len(c)
+    power = [k**j for j in range(n)]
+    repunit = [(p - 1) // (k - 1) for p in power]
+    f = tuple(sum(repunit[j] * c[i + j] for j in range(1, n - i)) for i in range(n))
+    root = sum((power[j] - 1) * c[j] for j in range(1, n)) // (k - 1)
+    total = sum((m * power[m] * k - (m + 1) * power[m] + 1) * c[m]
+                for m in range(1, n)) // (k - 1) ** 2
+
+    profile = fire_profile(N, k)
+    assert profile.f == f
+    assert profile.total == total
+    assert root_fires(N, k) == root == f[0]
+    assert total_fires(N, k) == total
+    i = data.draw(st.integers(0, n - 1), label="layer")
+    assert vertex_fires(N, k, i) == f[i]
+    if i < n - 1:
+        delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
+        assert fires_difference(N, k, i) == delta
