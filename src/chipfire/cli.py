@@ -1,33 +1,38 @@
 """Command-line front end.
 
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
-parsed as an arbitrary-precision decimal integer.  Exit codes: 0 success,
+parsed, and every integer printed, by `numerics.parse_int` and
+`numerics.format_int`, so no integer is too long.  Exit codes: 0 success,
 1 verification mismatch, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import engine, formulas, numerics, schizo, sequences
+from .numerics import format_int
 
 FORMATS = ("table", "csv", "json")
 SEQ_FORMATS = FORMATS + ("bfile",)
 
 
-def _json_dumps(obj) -> str:
-    # canonical form so that loads() + dumps() round-trips byte-exactly
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _decimal(text: str) -> int:
+    """argparse type for an integer argument of any length."""
+    try:
+        return numerics.parse_int(text)
+    except ValueError:
+        # the message argparse prints when int() rejects a value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_k_range(text: str) -> list[int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = numerics.parse_int(lo_s), numerics.parse_int(hi_s)
     else:
-        lo = hi = int(text)
+        lo = hi = numerics.parse_int(text)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad k range {text!r}; need 2 <= lo <= hi")
     return list(range(lo, hi + 1))
@@ -35,40 +40,44 @@ def _parse_k_range(text: str) -> list[int]:
 
 def cmd_stable(args) -> int:
     cfg = numerics.stable_config(args.N, args.k)
-    digits = numerics.to_base(args.N - numerics.repunit(cfg.n, args.k),
-                              args.k, cfg.n)
+    # layer i+1 holds digit i of N - repunit(n, k), plus one
+    digits = numerics.DigitString(radix=args.k,
+                                  digits=tuple(c - 1 for c in reversed(cfg.c)))
     if args.format == "json":
-        print(_json_dumps({"N": args.N, "k": args.k, "n": cfg.n,
-                           "digits": str(digits), "chips_per_vertex": list(cfg.c)}))
+        print(sequences.json_text({"N": args.N, "k": args.k, "n": cfg.n,
+                                   "digits": str(digits),
+                                   "chips_per_vertex": cfg.c}))
     elif args.format == "csv":
         print("layer,chips_per_vertex")
-        for i, c in enumerate(cfg.c):
-            print(f"{i + 1},{c}")
+        for i, c in enumerate(cfg.c, 1):
+            print(f"{format_int(i)},{format_int(c)}")
     else:
-        print(f"N = {args.N}  k = {args.k}  n = {cfg.n}  digits = {digits}")
-        for i, c in enumerate(cfg.c):
-            print(f"layer {i + 1}: {c} chips per vertex")
+        print(f"N = {format_int(args.N)}  k = {format_int(args.k)}  "
+              f"n = {format_int(cfg.n)}  digits = {digits}")
+        for i, c in enumerate(cfg.c, 1):
+            print(f"layer {format_int(i)}: {format_int(c)} chips per vertex")
     return 0
 
 
 def cmd_fires(args) -> int:
     profile = formulas.fire_profile(args.N, args.k)
     if args.format == "json":
-        print(_json_dumps({"N": args.N, "k": args.k, "n": profile.n,
-                           "fires_per_vertex": list(profile.f),
-                           "root_fires": profile.f[0],
-                           "total_fires": profile.total}))
+        print(sequences.json_text({"N": args.N, "k": args.k, "n": profile.n,
+                                   "fires_per_vertex": profile.f,
+                                   "root_fires": profile.f[0],
+                                   "total_fires": profile.total}))
     elif args.format == "csv":
         print("layer,fires_per_vertex")
-        for i, f in enumerate(profile.f):
-            print(f"{i + 1},{f}")
-        print(f"total,{profile.total}")
+        for i, f in enumerate(profile.f, 1):
+            print(f"{format_int(i)},{format_int(f)}")
+        print(f"total,{format_int(profile.total)}")
     else:
-        print(f"N = {args.N}  k = {args.k}  n = {profile.n}")
-        for i, f in enumerate(profile.f):
-            print(f"layer {i + 1}: {f} fires per vertex")
-        print(f"root fires = {profile.f[0]}")
-        print(f"total fires = {profile.total}")
+        print(f"N = {format_int(args.N)}  k = {format_int(args.k)}  "
+              f"n = {format_int(profile.n)}")
+        for i, f in enumerate(profile.f, 1):
+            print(f"layer {format_int(i)}: {format_int(f)} fires per vertex")
+        print(f"root fires = {format_int(profile.f[0])}")
+        print(f"total fires = {format_int(profile.total)}")
     return 0
 
 
@@ -84,9 +93,8 @@ def cmd_seq(args) -> int:
     elif args.format == "json":
         sequences.emit_json(window, sys.stdout)
     else:
-        label = f"{window.id.name} (k = {window.id.k})"
-        print(f"{label}: " +
-              ", ".join(str(v) for v in window.values))
+        label = f"{window.id.name} (k = {format_int(window.id.k)})"
+        print(f"{label}: " + ", ".join(map(format_int, window.values)))
     return 0
 
 
@@ -154,7 +162,8 @@ def cmd_verify(args) -> int:
             if mismatch:
                 print(f"FAIL: {mismatch}")
                 return 1
-        print(f"k={k}: formulas match engine for N=1..{args.N}")
+        print(f"k={format_int(k)}: formulas match engine for "
+              f"N=1..{format_int(args.N)}")
         if strategies:
             for N in range(1, node_max + 1):
                 mismatch = _verify_confluence(N, k, strategies, args.seeds,
@@ -162,8 +171,9 @@ def cmd_verify(args) -> int:
                 if mismatch:
                     print(f"FAIL: {mismatch}")
                     return 1
-            print(f"k={k}: confluent over {len(strategies)} strategies x "
-                  f"{args.seeds} seeds for N=1..{node_max}")
+            print(f"k={format_int(k)}: confluent over "
+                  f"{format_int(len(strategies))} strategies x "
+                  f"{format_int(args.seeds)} seeds for N=1..{format_int(node_max)}")
     print("verify: all checks passed")
     return 0
 
@@ -181,18 +191,20 @@ def cmd_schizo(args) -> int:
         dump = schizo.sqrt_digits(value, args.precision)
     report = schizo.block_report(dump, min_run=args.min_run)
     if args.format == "json":
-        print(_json_dumps({"subject": dump.subject, "value": value,
-                           "digits": str(dump), "precision": dump.precision,
-                           "blocks": _blocks_payload(report)}))
+        print(sequences.json_text({"subject": dump.subject, "value": value,
+                                   "digits": str(dump), "precision": dump.precision,
+                                   "blocks": _blocks_payload(report)}))
     else:
-        print(f"a({args.n}, {args.k}) = {value}")
+        print(f"a({format_int(args.n)}, {format_int(args.k)}) = {format_int(value)}")
         print(f"{dump.subject} = {dump}")
+        min_run = format_int(args.min_run)
         if report.blocks:
-            print(f"repeated-digit blocks (run >= {args.min_run}):")
+            print(f"repeated-digit blocks (run >= {min_run}):")
             for b in report.blocks:
-                print(f"  digit {b.digit} at offset {b.start}, length {b.length}")
+                print(f"  digit {format_int(b.digit)} at offset {format_int(b.start)}, "
+                      f"length {format_int(b.length)}")
         else:
-            print(f"no repeated-digit blocks with run >= {args.min_run}")
+            print(f"no repeated-digit blocks with run >= {min_run}")
     return 0
 
 
@@ -204,23 +216,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stable", help="stable configuration for N chips")
-    p.add_argument("-N", type=int, required=True, help="chip count (>= 1)")
-    p.add_argument("-k", type=int, required=True, help="branching factor (>= 2)")
+    p.add_argument("-N", type=_decimal, required=True, help="chip count (>= 1)")
+    p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
     p.add_argument("--format", "-f", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_stable)
 
     p = sub.add_parser("fires", help="per-layer, root, and total fire counts")
-    p.add_argument("-N", type=int, required=True, help="chip count (>= 1)")
-    p.add_argument("-k", type=int, required=True, help="branching factor (>= 2)")
+    p.add_argument("-N", type=_decimal, required=True, help="chip count (>= 1)")
+    p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
     p.add_argument("--format", "-f", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_fires)
 
     p = sub.add_parser("seq", help="generate a named sequence window")
     p.add_argument("id", help="sequence id: " + ", ".join(sequences.SEQUENCE_NAMES))
-    p.add_argument("-k", type=int, required=True, help="branching factor (>= 2)")
-    p.add_argument("-n", "--count", dest="count", type=int, default=10,
+    p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
+    p.add_argument("-n", "--count", dest="count", type=_decimal, default=10,
                    help="number of terms (default 10)")
-    p.add_argument("--start", type=int, default=1, help="first index (default 1)")
+    p.add_argument("--start", type=_decimal, default=1, help="first index (default 1)")
     p.add_argument("--diff", action="store_true",
                    help="emit first differences of the window")
     p.add_argument("--header", action="store_true",
@@ -232,13 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check formulas against the simulation engine")
     p.add_argument("-k", required=True,
                    help="branching factor or range, e.g. 3 or 2..6")
-    p.add_argument("-N", type=int, required=True,
+    p.add_argument("-N", type=_decimal, required=True,
                    help="check every pile size 1..N")
     p.add_argument("--strategies", default="",
                    help="comma-separated node-level strategies, or 'all'")
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=_decimal, default=1,
                    help="seeds per strategy for the random policy (default 1)")
-    p.add_argument("--node-N", type=int, default=None,
+    p.add_argument("--node-N", type=_decimal, default=None,
                    help="cap pile size for node-level runs (default min(N, 300))")
     p.add_argument("--force", action="store_true",
                    help="lift the node-count budget on node-level runs")
@@ -246,11 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schizo",
                        help="decimal digits of sqrt(a(n,k)) or its reciprocal")
-    p.add_argument("-k", type=int, required=True, help="sequence base (>= 2)")
-    p.add_argument("-n", type=int, required=True, help="sequence index (>= 1)")
-    p.add_argument("-p", "--precision", dest="precision", type=int, required=True,
+    p.add_argument("-k", type=_decimal, required=True, help="sequence base (>= 2)")
+    p.add_argument("-n", type=_decimal, required=True, help="sequence index (>= 1)")
+    p.add_argument("-p", "--precision", dest="precision", type=_decimal, required=True,
                    help="fractional digits to extract")
-    p.add_argument("--min-run", type=int, default=schizo.DEFAULT_MIN_RUN,
+    p.add_argument("--min-run", type=_decimal, default=schizo.DEFAULT_MIN_RUN,
                    help="minimum repeated-digit run to report (default 4)")
     p.add_argument("--inverse", action="store_true",
                    help="dump 1/sqrt(a(n,k)) instead")

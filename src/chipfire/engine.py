@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .numerics import height_index, repunit
+from .numerics import _require_k, height_index, repunit
 
 STRATEGIES = ("bfs", "max-chips", "random")
 
@@ -93,8 +93,7 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     """
     if N < 0:
         raise ValueError(f"chip count must be >= 0, got {N}")
-    if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
+    _require_k(k)
     n = height_index(N, k) if N else 0
     return n, N * (n - 1) // (k - 1)
 

@@ -4,13 +4,28 @@ Everything here is integer-only: repunits, the height index of a chip pile,
 fixed-width digit expansions, trailing-zero valuations, and the map from a
 chip count to its unique stable per-layer configuration.  No floating point
 appears anywhere on a numeric path.
+
+This module is the package's only conversion between integers and digits.
+One divide-and-conquer splitter turns an integer into base-k digits
+(`to_base`) and digits back into an integer (`DigitString.value`): a width w
+splits into its low floor(w/2) digits and the rest at the power
+k^floor(w/2), until a piece has at most 32 digits.  `format_int` and
+`parse_int` are the decimal text of every integer the package prints or
+parses; they use str() and int() up to CPython's 4300-digit limit and the
+splitter above it, so no size of integer is refused.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_LEAF = 32  # widest piece the splitter converts digit by digit
+_STR_DIGITS = 4300  # CPython's default limit on str(int) and int(str)
+_STR_BITS = (10**_STR_DIGITS).bit_length() - 1  # ints of <= this many bits have <= 4300 digits
+_DECIMAL = r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"  # compiled on first use, not on import
 
 
 def _require_k(k: int) -> None:
@@ -44,15 +59,12 @@ class DigitString:
                 raise ValueError(f"digit {d} out of range for radix {self.radix}")
 
     def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.radix + d
-        return v
+        return _join(self.digits, self.radix)
 
     def __str__(self) -> str:
         if self.radix <= len(_DIGIT_CHARS):
             return "".join(_DIGIT_CHARS[d] for d in self.digits)
-        return ".".join(str(d) for d in self.digits)
+        return ".".join(map(format_int, self.digits))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -111,21 +123,84 @@ def height_index(N: int, k: int) -> int:
     return n
 
 
-def to_base(x: int, k: int, width: int) -> DigitString:
-    """Base-k expansion of x with exactly `width` digits (leading zeros ok)."""
+@lru_cache(maxsize=64)
+def _power(k: int, e: int) -> int:
+    return k**e
+
+
+def _split(x: int, k: int, width: int, out: list[int]) -> int:
+    """Append the `width` lowest base-k digits of x to `out`, least
+    significant first, and return x // k**width."""
+    if width <= _LEAF:
+        for _ in range(width):
+            x, d = divmod(x, k)
+            out.append(d)
+        return x
+    half = width // 2
+    x, low = divmod(x, _power(k, half))
+    _split(low, k, half, out)
+    return _split(x, k, width - half, out)
+
+
+def _join(digits: tuple[int, ...], k: int) -> int:
+    """The integer whose base-k digits, most significant first, are `digits`."""
+    if len(digits) <= _LEAF:
+        v = 0
+        for d in digits:
+            v = v * k + d
+        return v
+    half = len(digits) // 2
+    return (_join(digits[:-half], k) * _power(k, half)
+            + _join(digits[-half:], k))
+
+
+def to_base(x: int, k: int, width: int | None = None) -> DigitString:
+    """Base-k expansion of x with exactly `width` digits (leading zeros ok).
+
+    Without a width, the shortest expansion: no leading zero, and a single 0
+    for x = 0.
+    """
     _require_k(k)
     if x < 0:
         raise ValueError(f"cannot expand negative value {x}")
-    if width < 0:
+    shortest = width is None
+    if shortest:
+        # k >= 2^(b-1) for b = k.bit_length(), so this many digits suffice
+        width = x.bit_length() // (k.bit_length() - 1) + 1
+    elif width < 0:
         raise ValueError(f"width must be >= 0, got {width}")
-    digits = []
-    for _ in range(width):
-        x, d = divmod(x, k)
-        digits.append(d)
-    if x != 0:
+    digits: list[int] = []
+    if _split(x, k, width, digits):
         raise ValueError(f"width {width} too small for value in base {k}")
+    if shortest:
+        while len(digits) > 1 and digits[-1] == 0:
+            digits.pop()
     digits.reverse()
     return DigitString(radix=k, digits=tuple(digits))
+
+
+def format_int(x: int) -> str:
+    """Decimal text of x, as str(x) gives it, at any size."""
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    return ("-" if x < 0 else "") + str(to_base(abs(x), 10))
+
+
+def parse_int(text: str) -> int:
+    """The integer of a decimal literal, as int(text) reads it, at any length.
+
+    Beyond 4300 characters only ASCII digits are read, with an optional sign,
+    single underscores between digits and surrounding whitespace.
+    """
+    if len(text) <= _STR_DIGITS:
+        return int(text)
+    match = re.fullmatch(_DECIMAL, text)
+    if match is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    sign, body = match.groups()
+    digits = tuple(ord(c) - 48 for c in body.replace("_", ""))
+    value = DigitString(radix=10, digits=digits).value()
+    return -value if sign == "-" else value
 
 
 def nu(x: int, k: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .formulas import a_seq
-from .numerics import DigitString, to_base
+from .numerics import DigitString, _require_k, format_int, to_base
 
 DEFAULT_MIN_RUN = 4
 
@@ -45,14 +45,13 @@ class BlockReport:
 
 
 def _split_dump(subject: str, scaled: int, precision: int, radix: int) -> DigitDump:
-    int_value, frac_value = divmod(scaled, radix**precision)
-    # to_base rejects radix < 2, at which the width loop would never end
-    frac_part = to_base(frac_value, radix, precision)
-    width = 1
-    while radix**width <= int_value:
-        width += 1
-    return DigitDump(subject=subject, int_part=to_base(int_value, radix, width),
-                     frac_part=frac_part, precision=precision)
+    digits = to_base(scaled, radix).digits
+    # at least one integer digit: a value below 1 dumps as 0.xxx
+    digits = (0,) * (precision + 1 - len(digits)) + digits
+    return DigitDump(subject=subject,
+                     int_part=DigitString(radix=radix, digits=digits[:-precision]),
+                     frac_part=DigitString(radix=radix, digits=digits[-precision:]),
+                     precision=precision)
 
 
 def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
@@ -66,7 +65,7 @@ def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
         raise ValueError(f"need precision >= 1, got {precision}")
     scale = radix**precision
     scaled = isqrt(x * scale * scale)
-    return _split_dump(f"sqrt({x})", scaled, precision, radix)
+    return _split_dump(f"sqrt({format_int(x)})", scaled, precision, radix)
 
 
 def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
@@ -81,7 +80,7 @@ def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
         raise ValueError(f"need precision >= 1, got {precision}")
     scale = radix**precision
     scaled = isqrt(scale * scale // x)
-    return _split_dump(f"1/sqrt({x})", scaled, precision, radix)
+    return _split_dump(f"1/sqrt({format_int(x)})", scaled, precision, radix)
 
 
 def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> BlockReport:
@@ -131,8 +130,7 @@ def schizo_survey(k: int, n_max: int, precision: int,
     pattern, it only records one.  Pass radix=k to inspect the expansions in
     the tree's own base.
     """
-    if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
+    _require_k(k)
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     entries = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from . import formulas
+from .numerics import _require_k, format_int
 
 _GENERATORS: dict[str, tuple[Callable[[int, int], int], str]] = {
     "g0": (lambda m, k: formulas.root_fires(m * k, k),
@@ -71,8 +72,7 @@ def _require_name(name: str) -> None:
 def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
     """Window of `count` exact values of the sequence, indices start..start+count-1."""
     _require_name(id.name)
-    if id.k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {id.k}")
+    _require_k(id.k)
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     if start < 1:
@@ -194,12 +194,31 @@ def reference_fixtures() -> tuple[Fixture, ...]:
 
 # --- emitters ----------------------------------------------------------------
 
+def json_text(obj) -> str:
+    """Canonical JSON: sorted keys, no spaces, every int through `format_int`.
+
+    The bytes equal json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    which refuses ints beyond 4300 digits, for payloads of dicts with str
+    keys, lists, tuples, str and int.
+    """
+    if type(obj) is int:  # not bool, which json spells true/false
+        return format_int(obj)
+    if isinstance(obj, (list, tuple)):
+        # ints inline: one call per int, not two, in the long fire-count lists
+        return "[" + ",".join([format_int(v) if type(v) is int else json_text(v)
+                               for v in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(key) + ":" + json_text(obj[key])
+                              for key in sorted(obj)) + "}"
+    return json.dumps(obj)
+
+
 def emit_bfile(window: SequenceWindow, sink: TextIO) -> None:
     """OEIS b-file lines: "index value", newline-terminated, ASCII decimal."""
     if not window.values:
         raise ValueError("refusing to emit an empty window")
-    for i, v in enumerate(window.values):
-        sink.write(f"{window.start + i} {v}\n")
+    for i, v in enumerate(window.values, window.start):
+        sink.write(f"{format_int(i)} {format_int(v)}\n")
 
 
 def emit_csv(window: SequenceWindow, sink: TextIO, header: bool = False) -> None:
@@ -207,13 +226,13 @@ def emit_csv(window: SequenceWindow, sink: TextIO, header: bool = False) -> None
         raise ValueError("refusing to emit an empty window")
     if header:
         sink.write("index,value\n")
-    for i, v in enumerate(window.values):
-        sink.write(f"{window.start + i},{v}\n")
+    for i, v in enumerate(window.values, window.start):
+        sink.write(f"{format_int(i)},{format_int(v)}\n")
 
 
 def emit_json(window: SequenceWindow, sink: TextIO) -> None:
     """Canonical JSON array of [index, value] pairs (round-trips byte-exactly)."""
     if not window.values:
         raise ValueError("refusing to emit an empty window")
-    pairs = [[window.start + i, v] for i, v in enumerate(window.values)]
-    sink.write(json.dumps(pairs, separators=(",", ":")) + "\n")
+    pairs = [[i, v] for i, v in enumerate(window.values, window.start)]
+    sink.write(json_text(pairs) + "\n")

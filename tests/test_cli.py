@@ -1,10 +1,16 @@
+import argparse
+import ast
 import json
 import subprocess
 import sys
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from chipfire import cli
+import chipfire
+from chipfire import cli, formulas, numerics, schizo
+from chipfire.numerics import format_int, parse_int
 
 
 def run(capsys, *argv):
@@ -173,6 +179,9 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fires", "-N", "9" * 5000 + "x", "-k", "3"])  # past int()'s limit
+    assert exc.value.code == 2
 
 
 def test_arbitrary_precision_arguments(capsys):
@@ -182,6 +191,123 @@ def test_arbitrary_precision_arguments(capsys):
     payload = json.loads(out)
     assert payload["N"] == 10**30
     assert payload["total_fires"] > 0
+
+
+# integers past CPython's 4300-digit str/int limit, which stays on here
+BIG_N, BIG_N_TEXT = 10**5000 - 1, "9" * 5000
+BIG_K, BIG_K_TEXT = 10**1000, "1" + "0" * 1000  # n = 5 for BIG_N: the commands stay fast
+
+
+def _json(out):
+    return json.loads(out, parse_int=parse_int)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_fires_past_the_digit_limit(capsys, fmt):
+    profile = formulas.fire_profile(BIG_N, BIG_K)
+    assert profile.n == 5
+    code, out, _ = run(capsys, "fires", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
+                       "-f", fmt)
+    assert code == 0
+    lines = out.splitlines()
+    if fmt == "json":
+        payload = _json(out)
+        assert (payload["N"], payload["k"], payload["n"]) == (BIG_N, BIG_K, 5)
+        assert tuple(payload["fires_per_vertex"]) == profile.f
+        assert payload["root_fires"] == formulas.root_fires_rec(BIG_N, BIG_K)
+        assert payload["total_fires"] == formulas.total_fires_rec(BIG_N, BIG_K)
+    elif fmt == "csv":
+        rows = [line.split(",") for line in lines[1:]]
+        assert tuple(parse_int(f) for _, f in rows[:-1]) == profile.f
+        assert rows[-1] == ["total", format_int(profile.total)]
+    else:
+        assert lines[0] == f"N = {BIG_N_TEXT}  k = {BIG_K_TEXT}  n = 5"
+        assert parse_int(lines[-1].split(" = ")[1]) == formulas.total_fires_rec(BIG_N, BIG_K)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_stable_past_the_digit_limit(capsys, fmt):
+    cfg = numerics.stable_config(BIG_N, BIG_K)
+    code, out, _ = run(capsys, "stable", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
+                       "-f", fmt)
+    assert code == 0
+    digits = ".".join(str(c - 1) for c in reversed(cfg.c))
+    if fmt == "json":
+        payload = _json(out)
+        assert (payload["N"], payload["k"], payload["n"]) == (BIG_N, BIG_K, 5)
+        assert payload["digits"] == digits
+        chips = payload["chips_per_vertex"]
+    elif fmt == "csv":
+        chips = [parse_int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    else:
+        assert out.splitlines()[0].endswith(f"n = 5  digits = {digits}")
+        chips = [parse_int(line.split()[2]) for line in out.splitlines()[1:]]
+    assert tuple(chips) == cfg.c
+    assert sum(c * BIG_K**i for i, c in enumerate(chips)) == BIG_N
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+def test_seq_past_the_digit_limit(capsys, fmt):
+    code, out, _ = run(capsys, "seq", "F_special", "-k", "10", "--start", "4400",
+                       "-n", "3", "-f", fmt)
+    assert code == 0
+    if fmt == "json":
+        pairs = [tuple(p) for p in _json(out)]
+    elif fmt == "table":
+        label, values = out.split(": ")
+        assert label == "F_special (k = 10)"
+        pairs = list(zip(range(4400, 4403), map(parse_int, values.split(", "))))
+    else:
+        sep = "," if fmt == "csv" else " "
+        pairs = [tuple(map(parse_int, line.split(sep))) for line in out.splitlines()]
+    # F_special(n+1) - F_special(n) = b(n): the recursion route, not the closed form
+    base = formulas.special_total_fires(4400, 10)
+    assert base > 10**4300
+    assert pairs == [(4400, base), (4401, base + formulas.b_seq(4400, 10)),
+                     (4402, base + formulas.b_seq(4400, 10) + formulas.b_seq(4401, 10))]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_schizo_past_the_digit_limit(capsys, fmt):
+    value = formulas.a_seq(4401, 10)
+    code, out, _ = run(capsys, "schizo", "-k", "10", "-n", "4401", "-p", "5", "-f", fmt)
+    assert code == 0
+    if fmt == "json":
+        payload = _json(out)
+        assert payload["value"] == value
+        assert payload["subject"] == f"sqrt({format_int(value)})"
+        digits = payload["digits"]
+    else:
+        lines = out.splitlines()
+        assert lines[0] == f"a(4401, 10) = {format_int(value)}"
+        subject, digits = lines[1].split(" = ")
+        assert subject == f"sqrt({format_int(value)})"
+    int_part, frac_part = digits.split(".")
+    assert parse_int(int_part + frac_part) == isqrt(value * 10**10)
+    assert digits == str(schizo.sqrt_digits(value, 5))
+
+
+def test_no_int_typed_argument():
+    # argparse's type=int calls int(), which refuses more than 4300 digits
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    typed = [a for a in actions(cli._build_parser()) if a.type is int]
+    assert not typed, [a.option_strings for a in typed]
+
+
+def test_digit_limit_is_never_lifted():
+    # the limit is process-wide; the package must work with it on
+    for path in Path(chipfire.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else "")
+            assert name != "set_int_max_str_digits", (path.name, ast.dump(node))
 
 
 @pytest.mark.parametrize("module", ["chipfire", "chipfire.cli"])

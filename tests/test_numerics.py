@@ -7,7 +7,9 @@ from chipfire.numerics import (
     StableConfig,
     exact_div,
     height_index,
+    format_int,
     nu,
+    parse_int,
     repunit,
     stable_config,
     to_base,
@@ -74,6 +76,22 @@ def test_to_base(x, k, width, expected):
 def test_to_base_rejects_narrow_width():
     with pytest.raises(ValueError):
         to_base(9, 3, 2)
+
+
+@pytest.mark.parametrize("n", [4299, 4300, 4301])
+def test_decimal_text_at_the_digit_limit(n):
+    # int() and str() take 4300 digits, no more; the splitter takes the rest
+    for x, text in ((10**n - 1, "9" * n), (10 ** (n - 1), "1" + "0" * (n - 1))):
+        assert format_int(x) == text
+        assert parse_int(text) == x
+        assert format_int(-x) == "-" + text and parse_int("-" + text) == -x
+
+
+@pytest.mark.parametrize("text", ["12" * 2200 + "a", "_" + "1" * 5000, "1" * 2500 + "__2" * 900,
+                                  "+-" + "1" * 5000, "1" * 2500 + " " + "1" * 2500, "٣" * 5000])
+def test_parse_int_rejects_long_malformed_text(text):
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_int(text)
 
 
 def test_to_base_round_trip():

@@ -4,9 +4,15 @@ Examples are derandomized and no example database is kept, so every run
 draws the same cases and nothing is written into the checkout.
 """
 
+import io
+import json
+import random
 import tempfile
+from decimal import Decimal
+from itertools import dropwhile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -14,7 +20,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from chipfire.engine import STRATEGIES, simulate, simulate_layers
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
-from chipfire.numerics import stable_config
+from chipfire.numerics import format_int, parse_int, stable_config, to_base
+from chipfire.schizo import inv_sqrt_digits, sqrt_digits
+from chipfire.sequences import (SequenceId, SequenceWindow, emit_bfile, emit_csv,
+                                emit_json)
 
 
 # Even without a database, Hypothesis caches the constants it mines from local
@@ -67,3 +76,71 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
     if i < n - 1:
         delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
         assert fires_difference(N, k, i) == delta
+
+
+def _digits_one_at_a_time(x, k, width):
+    # the per-digit divmod loop the splitter replaced, kept as the reference
+    digits = []
+    for _ in range(width):
+        x, d = divmod(x, k)
+        digits.append(d)
+    assert x == 0
+    return tuple(reversed(digits))
+
+
+# any width, plus the edges of the splitter's 32-digit leaf and the top of the range
+@bounded(40)
+@given(k=st.integers(2, 36) | st.just(1000),
+       width=st.integers(0, 12_000) | st.sampled_from([32, 33, 64, 65, 12_000]),
+       seed=st.integers(0, 2**64), data=st.data())
+def test_base_k_digits_round_trip(k, width, seed, data):
+    x = random.Random(seed).randrange(k**width)
+    zeros = data.draw(st.integers(0, width), label="leading zeros")
+    x //= k**zeros
+    ds = to_base(x, k, width)
+    assert ds.digits == _digits_one_at_a_time(x, k, width)
+    assert ds.digits[:zeros] == (0,) * zeros
+    assert ds.value() == x
+    assert to_base(x, k).digits == (tuple(dropwhile(lambda d: d == 0, ds.digits)) or (0,))
+    with pytest.raises(ValueError):
+        to_base(x + k**width, k, width)
+
+
+@bounded(40)
+@given(n=st.integers(4_290, 4_310) | st.integers(9_990, 10_010),
+       seed=st.integers(0, 2**64), negative=st.booleans())
+def test_decimal_text_round_trips_across_the_digit_limit(n, seed, negative):
+    x = random.Random(seed).randrange(10**(n - 1), 10**n) * (-1 if negative else 1)
+    text = format_int(x)
+    assert text == str(Decimal(x))  # decimal's own conversion has no digit limit
+    assert len(text.lstrip("-")) == n
+    assert parse_int(text) == x
+    assert parse_int(f" {text[:-1]}_{text[-1]}\n") == x
+
+
+@bounded(60)
+@given(x=st.integers(1, 10**40), p=st.integers(1, 2_000), q=st.integers(1, 2_000),
+       radix=st.integers(2, 16))
+def test_digit_dumps_extend_without_rewriting(x, p, q, radix):
+    for dump in (sqrt_digits, inv_sqrt_digits):
+        assert str(dump(x, p + q, radix)).startswith(str(dump(x, p, radix)))
+
+
+@bounded(60)
+@given(start=st.integers(1, 10**30),
+       values=st.lists(st.integers(0, 10**40) | st.integers(0, 2**64).map(
+           lambda seed: random.Random(seed).randrange(10**5_000)), min_size=1, max_size=8))
+def test_emitters_parse_back_to_the_window(start, values):
+    window = SequenceWindow(id=SequenceId(name="x", k=2), start=start, values=tuple(values))
+    pairs = list(enumerate(values, start))
+    out = {}
+    for fmt, emit in (("bfile", emit_bfile), ("csv", emit_csv), ("json", emit_json)):
+        sink = io.StringIO()
+        emit(window, sink)
+        out[fmt] = sink.getvalue()
+    assert [tuple(map(parse_int, line.split(" "))) for line in out["bfile"].splitlines()] == pairs
+    assert [tuple(map(parse_int, line.split(","))) for line in out["csv"].splitlines()] == pairs
+    assert [tuple(p) for p in json.loads(out["json"], parse_int=parse_int)] == pairs
+    if all(v < 10**4300 for v in values):
+        assert out["json"] == json.dumps([list(p) for p in pairs], separators=(",", ":")) + "\n"
+        assert out["bfile"] == "".join(f"{i} {v}\n" for i, v in pairs)
