@@ -119,42 +119,32 @@ def _verify_cell(N: int, k: int) -> str | None:
 
 def _verify_confluence(N: int, k: int, strategies: list[str], seeds: int,
                        force: bool) -> str | None:
-    results = []
-    for strategy in strategies:
-        for seed in range(seeds):
-            results.append(engine.simulate(N, k, strategy=strategy, seed=seed,
-                                           force=force))
+    results = [engine.simulate(N, k, strategy=strategy, seed=seed, force=force)
+               for strategy in strategies for seed in range(seeds)]
     first = results[0]
     for r in results[1:]:
         if r != first:
-            return (f"confluence mismatch at N={N}, k={k}: "
-                    f"{first} vs {r}")
+            return f"confluence mismatch at N={N}, k={k}: {first} vs {r}"
     layer = engine.simulate_layers(N, k)
-    if first.observables() != layer.observables():
-        return (f"node/layer mismatch at N={N}, k={k}: "
-                f"{first.observables()} vs {layer.observables()}")
+    if first != layer:
+        return f"node/layer mismatch at N={N}, k={k}: {first} vs {layer}"
     return None
 
 
 def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k)
-    if args.N < 1:
-        raise ValueError(f"need N >= 1, got {args.N}")
-    if args.seeds < 1:
-        raise ValueError(f"need --seeds >= 1, got {args.seeds}")
+    numerics._require_at_least("N", args.N, 1)
+    numerics._require_at_least("--seeds", args.seeds, 1)
     if args.strategies == "all":
         strategies = list(engine.STRATEGIES)
     elif args.strategies:
         strategies = [s.strip() for s in args.strategies.split(",")]
         for s in strategies:
-            if s not in engine.STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}; "
-                                 f"choose from {engine.STRATEGIES}")
+            engine._priority(s, 0)  # raises on an unknown strategy
     else:
         strategies = []
     node_max = args.node_N if args.node_N is not None else min(args.N, 300)
-    if node_max < 1:
-        raise ValueError(f"need --node-N >= 1, got {node_max}")
+    numerics._require_at_least("--node-N", node_max, 1)
 
     for k in ks:
         for N in range(1, args.N + 1):

@@ -41,7 +41,8 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .numerics import _require_k, height_index, repunit
+from .numerics import (_require_at_least, _require_k, format_int, height_index,
+                       repunit)
 
 STRATEGIES = ("bfs", "max-chips", "random")
 
@@ -63,9 +64,8 @@ class SimResult:
     """Measured outcome of one stabilization run.
 
     `stable_chips[i]` / `fires_by_layer[i]` refer to every vertex on layer
-    i+1, for layers 1..n, each vertex holding 1..k chips.  `steps` counts
-    single-vertex fires in `simulate` and layer-wide parallel fires in
-    `simulate_layers`; it is diagnostic only and excluded from `observables`.
+    i+1, for layers 1..n, each vertex holding 1..k chips.  Both engines give
+    equal results for equal (N, k).
     """
 
     k: int
@@ -74,11 +74,11 @@ class SimResult:
     fires_by_layer: tuple[int, ...]
     root_fires: int
     total_fires: int
-    steps: int
 
-    def observables(self) -> tuple:
-        return (self.k, self.n, self.stable_chips, self.fires_by_layer,
-                self.root_fires, self.total_fires)
+    @property
+    def steps(self) -> int:
+        """Single-vertex fires of the run: `total_fires` under another name."""
+        return self.total_fires
 
 
 def _budget(N: int, k: int) -> tuple[int, int]:
@@ -89,32 +89,33 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     k down, and a root fire keeps one chip and moves k down, so every fire
     raises Phi by k-1 or k.  Phi starts at 0, and no chip passes layer n
     because both engines refuse to fire a layer-n vertex, so Phi <= N(n-1)
-    throughout.  `steps` counts at most the total fires.
+    throughout.  Each engine's step counter counts at most the total fires.
     """
-    if N < 0:
-        raise ValueError(f"chip count must be >= 0, got {N}")
+    _require_at_least("N", N, 0)
     _require_k(k)
     n = height_index(N, k) if N else 0
     return n, N * (n - 1) // (k - 1)
 
 
-def _result(N: int, k: int, stable: list[int], by_layer: list[int],
-            steps: int) -> SimResult:
+def _result(N: int, k: int, stable: list[int], by_layer: list[int]) -> SimResult:
     """End-of-run check of both engines, then package the per-layer counts.
 
     Chips must be conserved and every layer must hold 1..k chips per vertex:
     stable, and reached.  Root and total fires follow from the layer fires.
     """
     if sum(c * k**i for i, c in enumerate(stable)) != N:
-        raise EngineError(f"chip conservation broken at stabilization (N={N}, k={k})")
+        raise EngineError(f"chip conservation broken at stabilization ({_pile(N, k)})")
     if not all(1 <= c <= k for c in stable):
-        raise EngineError(f"stable chips per layer {stable} not all in 1..{k} "
-                          f"(N={N}, k={k})")
+        raise EngineError(f"stable chips per layer [{', '.join(map(format_int, stable))}] "
+                          f"not all in 1..{format_int(k)} ({_pile(N, k)})")
     return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
                      fires_by_layer=tuple(by_layer),
                      root_fires=by_layer[0] if by_layer else 0,
-                     total_fires=sum(f * k**i for i, f in enumerate(by_layer)),
-                     steps=steps)
+                     total_fires=sum(f * k**i for i, f in enumerate(by_layer)))
+
+
+def _pile(N: int, k: int) -> str:
+    return f"N={format_int(N)}, k={format_int(k)}"
 
 
 def _priority(strategy: str, seed: int):
@@ -142,8 +143,8 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     size = repunit(n, k)
     if size > NODE_BUDGET and not force:
         raise TreeSizeError(
-            f"N={N}, k={k} touches about {size} nodes "
-            f"(budget {NODE_BUDGET}); pass force=True to run anyway")
+            f"{_pile(N, k)} touches about {format_int(size)} nodes "
+            f"(budget {format_int(NODE_BUDGET)}); pass force=True to run anyway")
 
     threshold = k + 1
     last = size // k  # repunit(n - 1): the first vertex of layer n
@@ -160,8 +161,8 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
             continue  # stale: v has gained or fired since this entry
         if v >= last:
             raise EngineError(
-                f"vertex {v} on layer {n} would fire (N={N}, k={k}); "
-                "chips would leave the truncated tree")
+                f"vertex {format_int(v)} on layer {format_int(n)} would fire "
+                f"({_pile(N, k)}); chips would leave the truncated tree")
         if v:
             count -= threshold
             parent = (v - 1) // k
@@ -183,11 +184,13 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
         if count >= threshold:
             heappush(heap, (key(v, count), count, v))
         if steps > budget:
-            raise EngineError(f"step budget {budget} exceeded at N={N}, k={k}")
+            raise EngineError(f"step budget {format_int(budget)} exceeded at "
+                              f"{_pile(N, k)}")
         if check_each_step and sum(chips) != N:
-            raise EngineError(f"chip conservation broken at step {steps} (N={N}, k={k})")
+            raise EngineError(f"chip conservation broken at step {format_int(steps)} "
+                              f"({_pile(N, k)})")
 
-    return _result(N, k, *_collect(N, k, n, chips, fires), steps)
+    return _result(N, k, *_collect(N, k, n, chips, fires))
 
 
 def _collect(N: int, k: int, n: int, chips: list[int],
@@ -201,8 +204,8 @@ def _collect(N: int, k: int, n: int, chips: list[int],
         width = hi - lo
         if (chips[lo:hi] != [chips[lo]] * width
                 or fires[lo:hi] != [fires[lo]] * width):
-            raise EngineError(f"layer {layer} not symmetric at stabilization "
-                              f"(N={N}, k={k})")
+            raise EngineError(f"layer {format_int(layer)} not symmetric at "
+                              f"stabilization ({_pile(N, k)})")
         stable.append(chips[lo])
         by_layer.append(fires[lo])
         lo = hi
@@ -234,7 +237,7 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
                 continue
             if i + 1 == n:
                 raise EngineError(
-                    f"layer {n} would fire (N={N}, k={k}); "
+                    f"layer {format_int(n)} would fire ({_pile(N, k)}); "
                     "chips would leave the truncated tree")
             if i == 0:
                 t = (count - threshold) // k + 1  # root nets -k per fire
@@ -248,11 +251,12 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
             steps += t
             progressed = True
             if steps > budget:
-                raise EngineError(f"step budget {budget} exceeded at N={N}, k={k}")
+                raise EngineError(f"step budget {format_int(budget)} exceeded at "
+                                  f"{_pile(N, k)}")
             if check_each_step and sum(c * k**j for j, c in enumerate(chips)) != N:
-                raise EngineError(
-                    f"chip conservation broken at step {steps} (N={N}, k={k})")
+                raise EngineError(f"chip conservation broken at step "
+                                  f"{format_int(steps)} ({_pile(N, k)})")
         if not progressed:
             break
 
-    return _result(N, k, chips, fires, steps)
+    return _result(N, k, chips, fires)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import (_require_k, exact_div, height_index, nu, repunit,
-                       stable_config)
+from .numerics import (_require_at_least, _require_k, exact_div, format_int,
+                       height_index, nu, repunit, stable_config)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
 
 def _check_layer(i: int, n: int, upper_slack: int = 1) -> None:
     if not 0 <= i <= n - upper_slack:
-        raise ValueError(f"layer index {i} out of range for height index {n}")
+        raise ValueError(f"layer index {format_int(i)} out of range for height "
+                         f"index {format_int(n)}")
 
 
 def vertex_fires(N: int, k: int, i: int) -> int:
@@ -101,8 +102,7 @@ def root_fires(N: int, k: int) -> int:
 
 def root_fires_rec(N: int, k: int) -> int:
     """Root fires by the recursion f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1)."""
-    if N < 0:
-        raise ValueError(f"chip count must be >= 0, got {N}")
+    _require_at_least("N", N, 0)
     total = 0
     x = N
     while x > 0:
@@ -132,8 +132,7 @@ def total_fires_rec(N: int, k: int) -> int:
     Stays inside the recursive family (uses root_fires_rec) so that it is a
     path independent of the closed forms.
     """
-    if N < 0:
-        raise ValueError(f"chip count must be >= 0, got {N}")
+    _require_at_least("N", N, 0)
     total = 0
     weight = 1
     x = N
@@ -171,16 +170,14 @@ def special_vertex_fires(n: int, k: int, i: int) -> int:
 
 def special_root_fires(n: int, k: int) -> int:
     """root_fires at N = repunit(n, k)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     _require_k(k)
     return exact_div(k**n - n * k + (n - 1), (k - 1) ** 2)
 
 
 def special_total_fires(n: int, k: int) -> int:
     """total_fires at N = repunit(n, k)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     _require_k(k)
     return exact_div((k * (n - 1) - n - 1) * k**n + k * (n + 1) - n + 1,
                      (k - 1) ** 3)
@@ -188,8 +185,7 @@ def special_total_fires(n: int, k: int) -> int:
 
 def divisibility_check(j: int, k: int) -> bool:
     """Whether 2(k+1) divides total_fires(repunit(2j+1, k), k).  Always true."""
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
+    _require_at_least("j", j, 0)
     _require_k(k)
     return special_total_fires(2 * j + 1, k) % (2 * (k + 1)) == 0
 
@@ -215,8 +211,7 @@ def a_seq(n: int, k: int) -> int:
     These are the distinct values taken by the total-fires difference D, and
     in base k their digit strings concatenate 1, 2, ..., n for n < k.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     _require_k(k)
     return crosscheck("a", n, k)
 
@@ -240,8 +235,7 @@ def b_seq(n: int, k: int) -> int:
     Partial sums of b reproduce special_total_fires with the index shifted by
     one: sum(b(1..n)) == special_total_fires(n+1, k).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_at_least("n", n, 1)
     _require_k(k)
     return crosscheck("b", n, k)
 
@@ -253,8 +247,7 @@ def d0_formula(m: int, k: int) -> int:
 
     d0(m,k) is n when m == repunit(n,k) and nu_k((k-1)m + 1) + 1 otherwise.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _require_at_least("m", m, 1)
     n = height_index(m, k)
     if m == repunit(n, k):
         return n
@@ -266,8 +259,7 @@ def d0_recursive(m: int, k: int) -> int:
 
     The chain bottoms out at d0(0) = 0 (both g0(1) and g0(0) vanish).
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _require_at_least("m", m, 1)
     depth = 0
     while m > 0 and (m - 1) % k == 0:
         depth += 1
@@ -282,8 +274,7 @@ def d0_by_replacement(count: int, k: int) -> list[int]:
     with the (k+1)th occurrence, for x = 2, 3, ... until a pass changes
     nothing.
     """
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    _require_at_least("count", count, 1)
     seq = [1] * count
     x = 2
     while True:
@@ -307,8 +298,7 @@ def d0(m: int, k: int) -> int:
 
 def D_recursive(m: int, k: int) -> int:
     """Total-fires difference via D(m) = d0(m) + k*D((m-1)/k) when k | m-1."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _require_at_least("m", m, 1)
     total = 0
     weight = 1
     x = m
@@ -333,8 +323,7 @@ def D_explicit(m: int, k: int) -> int:
     j is n when m == repunit(n,k), else nu_k(m - repunit(n,k)) + 1, and the
     value is the a-sequence closed form at j.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _require_at_least("m", m, 1)
     n = height_index(m, k)
     r = repunit(n, k)
     j = n if m == r else nu(m - r, k) + 1
@@ -354,6 +343,7 @@ ROUTES = {
     "D": (D_via_a_seq, D_recursive, D_explicit),
     "root_fires": (root_fires, root_fires_rec),
     "total_fires": (total_fires, total_fires_rec),
+    "vertex_fires": (vertex_fires, vertex_fires_via_root),
 }
 
 
@@ -362,6 +352,7 @@ def crosscheck(quantity: str, *args: int) -> int:
     routes = ROUTES[quantity]
     values = [route(*args) for route in routes]
     if values.count(values[0]) != len(values):
-        detail = ", ".join(f"{r.__name__} {v}" for r, v in zip(routes, values))
-        raise AssertionError(f"{quantity}{args}: routes disagree: {detail}")
+        detail = ", ".join(f"{r.__name__} {format_int(v)}" for r, v in zip(routes, values))
+        raise AssertionError(f"{quantity}({', '.join(map(format_int, args))}): "
+                             f"routes disagree: {detail}")
     return values[0]

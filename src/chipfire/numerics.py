@@ -11,33 +11,42 @@ One divide-and-conquer splitter turns an integer into base-k digits
 splits into its low floor(w/2) digits and the rest at the power
 k^floor(w/2), until a piece has at most 32 digits.  `format_int` and
 `parse_int` are the decimal text of every integer the package prints or
-parses; they use str() and int() up to CPython's 4300-digit limit and the
-splitter above it, so no size of integer is refused.
+parses, messages included; they use str() and int() up to the interpreter's
+digit limit (4300 by default) and the splitter above it, so no size of integer
+is refused.  Every range check is one `_require_at_least` call.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _LEAF = 32  # widest piece the splitter converts digit by digit
-_STR_DIGITS = 4300  # CPython's default limit on str(int) and int(str)
-_STR_BITS = (10**_STR_DIGITS).bit_length() - 1  # ints of <= this many bits have <= 4300 digits
+# the limit on str(int) and int(str), read at each call; 0 and older Pythons: none
+_str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# no limit can be set below 640 digits, so ints this short never read it
+_UNCHECKED_BITS = (10**640).bit_length() - 1
 _DECIMAL = r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"  # compiled on first use, not on import
+
+
+def _require_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"need {name} >= {format_int(least)}, got {format_int(value)}")
 
 
 def _require_k(k: int) -> None:
     if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
+        raise ValueError(f"branching factor must be >= 2, got {format_int(k)}")
 
 
 def exact_div(num: int, den: int) -> int:
     """Divide, insisting on a zero remainder."""
     q, r = divmod(num, den)
     if r != 0:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
+        raise ArithmeticError(f"{format_int(num)} is not divisible by {format_int(den)}")
     return q
 
 
@@ -52,11 +61,11 @@ class DigitString:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.radix < 2:
-            raise ValueError(f"radix must be >= 2, got {self.radix}")
+        _require_at_least("radix", self.radix, 2)
         for d in self.digits:
             if not 0 <= d < self.radix:
-                raise ValueError(f"digit {d} out of range for radix {self.radix}")
+                raise ValueError(f"digit {format_int(d)} out of range for radix "
+                                 f"{format_int(self.radix)}")
 
     def value(self) -> int:
         return _join(self.digits, self.radix)
@@ -88,7 +97,8 @@ class StableConfig:
             raise ValueError("height index does not match layer count")
         for ci in self.c:
             if not 1 <= ci <= self.k:
-                raise ValueError(f"per-vertex count {ci} outside 1..{self.k}")
+                raise ValueError(f"per-vertex count {format_int(ci)} outside "
+                                 f"1..{format_int(self.k)}")
 
     def total_chips(self) -> int:
         return sum(ci * self.k**i for i, ci in enumerate(self.c))
@@ -96,8 +106,7 @@ class StableConfig:
 
 def repunit(n: int, k: int) -> int:
     """1 + k + ... + k^(n-1), i.e. n ones in base k.  repunit(0, k) == 0."""
-    if n < 0:
-        raise ValueError(f"repunit index must be >= 0, got {n}")
+    _require_at_least("n", n, 0)
     _require_k(k)
     r = 0
     for _ in range(n):
@@ -114,7 +123,7 @@ def height_index(N: int, k: int) -> int:
     """
     _require_k(k)
     if N < 1:
-        raise ValueError(f"height index is undefined for N = {N}; need N >= 1")
+        raise ValueError(f"height index is undefined for N = {format_int(N)}; need N >= 1")
     n = 1
     nxt = k + 1  # repunit(2, k)
     while nxt <= N:
@@ -162,16 +171,17 @@ def to_base(x: int, k: int, width: int | None = None) -> DigitString:
     """
     _require_k(k)
     if x < 0:
-        raise ValueError(f"cannot expand negative value {x}")
+        raise ValueError(f"cannot expand negative value {format_int(x)}")
     shortest = width is None
     if shortest:
         # k >= 2^(b-1) for b = k.bit_length(), so this many digits suffice
         width = x.bit_length() // (k.bit_length() - 1) + 1
-    elif width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
+    else:
+        _require_at_least("width", width, 0)
     digits: list[int] = []
     if _split(x, k, width, digits):
-        raise ValueError(f"width {width} too small for value in base {k}")
+        raise ValueError(f"width {format_int(width)} too small for value in base "
+                         f"{format_int(k)}")
     if shortest:
         while len(digits) > 1 and digits[-1] == 0:
             digits.pop()
@@ -179,9 +189,15 @@ def to_base(x: int, k: int, width: int | None = None) -> DigitString:
     return DigitString(radix=k, digits=tuple(digits))
 
 
+@lru_cache(maxsize=8)
+def _str_bits(limit: int) -> int:  # ints of <= this many bits have <= limit digits
+    return (10**limit).bit_length() - 1 if limit else sys.maxsize  # 0: no limit
+
+
 def format_int(x: int) -> str:
     """Decimal text of x, as str(x) gives it, at any size."""
-    if x.bit_length() <= _STR_BITS:
+    bits = x.bit_length()
+    if bits <= _UNCHECKED_BITS or bits <= _str_bits(_str_digits_limit()):
         return str(x)
     return ("-" if x < 0 else "") + str(to_base(abs(x), 10))
 
@@ -189,10 +205,11 @@ def format_int(x: int) -> str:
 def parse_int(text: str) -> int:
     """The integer of a decimal literal, as int(text) reads it, at any length.
 
-    Beyond 4300 characters only ASCII digits are read, with an optional sign,
+    Past the digit limit only ASCII digits are read, with an optional sign,
     single underscores between digits and surrounding whitespace.
     """
-    if len(text) <= _STR_DIGITS:
+    limit = _str_digits_limit()
+    if not limit or len(text) <= limit:
         return int(text)
     match = re.fullmatch(_DECIMAL, text)
     if match is None:
@@ -207,7 +224,7 @@ def nu(x: int, k: int) -> int:
     """Largest e with k^e dividing x; the count of trailing zeros of x in base k."""
     _require_k(k)
     if x < 1:
-        raise ValueError(f"trailing-zero count is undefined for x = {x}")
+        raise ValueError(f"trailing-zero count is undefined for x = {format_int(x)}")
     e = 0
     while x % k == 0:
         e += 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .formulas import a_seq
-from .numerics import DigitString, _require_k, format_int, to_base
+from .numerics import (DigitString, _require_at_least, _require_k, format_int,
+                       to_base)
 
 DEFAULT_MIN_RUN = 4
 
@@ -59,10 +60,8 @@ def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
 
     Computes isqrt(x * radix^(2p)), which is exactly floor(sqrt(x) * radix^p).
     """
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    if precision < 1:
-        raise ValueError(f"need precision >= 1, got {precision}")
+    _require_at_least("x", x, 1)
+    _require_at_least("precision", precision, 1)
     scale = radix**precision
     scaled = isqrt(x * scale * scale)
     return _split_dump(f"sqrt({format_int(x)})", scaled, precision, radix)
@@ -74,10 +73,8 @@ def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
     floor(radix^p / sqrt(x)) equals isqrt(floor(radix^(2p) / x)) because
     floor(sqrt(floor(y))) == floor(sqrt(y)) for y >= 0.
     """
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    if precision < 1:
-        raise ValueError(f"need precision >= 1, got {precision}")
+    _require_at_least("x", x, 1)
+    _require_at_least("precision", precision, 1)
     scale = radix**precision
     scaled = isqrt(scale * scale // x)
     return _split_dump(f"1/sqrt({format_int(x)})", scaled, precision, radix)
@@ -92,8 +89,7 @@ def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> BlockReport
     precision, so its maximality cannot be certified.  In particular a
     perfect square dumps as x.000...0 and reports no blocks.
     """
-    if min_run < 2:
-        raise ValueError(f"need min_run >= 2, got {min_run}")
+    _require_at_least("min_run", min_run, 2)
     stream = dump.int_part.digits + dump.frac_part.digits
     point = len(dump.int_part.digits)
     blocks = []
@@ -131,8 +127,7 @@ def schizo_survey(k: int, n_max: int, precision: int,
     the tree's own base.
     """
     _require_k(k)
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    _require_at_least("n_max", n_max, 1)
     entries = []
     for n in range(1, n_max + 1, 2):
         value = a_seq(n, k)

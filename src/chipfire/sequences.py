@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from . import formulas
-from .numerics import _require_k, format_int
+from .numerics import _require_at_least, _require_k, format_int
 
 _GENERATORS: dict[str, tuple[Callable[[int, int], int], str]] = {
     "g0": (lambda m, k: formulas.root_fires(m * k, k),
@@ -24,9 +24,9 @@ _GENERATORS: dict[str, tuple[Callable[[int, int], int], str]] = {
           "total fires per block: G(m,k) = F(mk,k)"),
     "d0": (formulas.d0, "first difference of g0"),
     "D": (formulas.D_diff, "first difference of G"),
-    "f0_special": (lambda n, k: formulas.special_root_fires(n, k),
+    "f0_special": (formulas.special_root_fires,
                    "root fires at the all-ones pile repunit(n,k)"),
-    "F_special": (lambda n, k: formulas.special_total_fires(n, k),
+    "F_special": (formulas.special_total_fires,
                   "total fires at the all-ones pile repunit(n,k)"),
     "a": (formulas.a_seq, "distinct values of D: a(n,k) = k*a(n-1,k) + n"),
     "b": (formulas.b_seq, "increments of F_special: b(n,k) = n*k^(n-1) + b(n-1,k)"),
@@ -73,10 +73,9 @@ def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
     """Window of `count` exact values of the sequence, indices start..start+count-1."""
     _require_name(id.name)
     _require_k(id.k)
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    _require_at_least("count", count, 1)
     if start < 1:
-        raise ValueError(f"sequences are 1-indexed; got start {start}")
+        raise ValueError(f"sequences are 1-indexed; got start {format_int(start)}")
     fn = _GENERATORS[id.name][0]
     values = tuple(fn(i, id.k) for i in range(start, start + count))
     return SequenceWindow(id=id, start=start, values=values)
@@ -93,8 +92,8 @@ def difference(window: SequenceWindow) -> SequenceWindow:
     diffs = []
     for prev, cur in zip(window.values, window.values[1:]):
         if cur < prev:
-            raise ValueError(f"negative difference {cur} - {prev} in "
-                             f"{window.id.name} (k={window.id.k})")
+            raise ValueError(f"negative difference {format_int(cur)} - {format_int(prev)} "
+                             f"in {window.id.name} (k={format_int(window.id.k)})")
         diffs.append(cur - prev)
     out_id = SequenceId(name=window.id.name + ".diff", k=window.id.k)
     return SequenceWindow(id=out_id, start=window.start, values=tuple(diffs))

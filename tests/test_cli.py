@@ -1,6 +1,8 @@
 import argparse
 import ast
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import isqrt
@@ -321,3 +323,40 @@ def test_module_runs_as_script(module):
     assert done.returncode == 0
     assert "n = 2" in done.stdout
     assert cli_run("stable", "-N", "0", "-k", "3").returncode == 2
+
+
+def test_golden_cli_transcript(capsys, monkeypatch):
+    # recorded by tests/golden/make_cli_transcript.py: exit code, stdout
+    # sha256 and stderr of each argv
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    transcript = json.loads((Path(__file__).parent / "golden" / "cli_transcript.json").read_text())
+    changed = []
+    for entry in transcript:
+        try:
+            code = cli.main(entry["argv"])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        if (code, hashlib.sha256(out.encode()).hexdigest(), err) != (
+                entry["exit"], entry["stdout_sha256"], entry["stderr"]):
+            changed.append((entry["argv"], code, err))
+    assert len(transcript) >= 80
+    assert not changed, changed
+
+
+@pytest.mark.parametrize("limit", ["640", "0"])  # the lowest limit, and none
+def test_digit_limit_of_the_interpreter(limit):
+    # the interpreter's current limit, not CPython's default, decides when
+    # format_int and parse_int leave str() and int()
+    N = int("7" * 2000)
+    done = subprocess.run(
+        [sys.executable, "-m", "chipfire", "fires", "-N", "7" * 2000, "-k", "10", "-f", "json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": limit})
+    assert done.returncode == 0, done.stderr
+    payload = _json(done.stdout)
+    profile = formulas.fire_profile(N, 10)
+    assert (payload["N"], payload["k"], payload["n"]) == (N, 10, profile.n)
+    assert tuple(payload["fires_per_vertex"]) == profile.f
+    assert payload["total_fires"] == profile.total
+    assert len(str(profile.f[0])) > 640  # past the lowest limit

@@ -57,12 +57,13 @@ def test_chip_conservation_each_step():
 
 
 def test_step_counters():
-    # node steps count single fires; layer steps count parallel layer fires
+    # steps has one meaning in both engines: single-vertex fires
     for N, k in [(9, 3), (31, 2), (100, 4)]:
         node = simulate(N, k)
         layer = simulate_layers(N, k)
+        assert node == layer
         assert node.steps == node.total_fires
-        assert layer.steps == sum(layer.fires_by_layer)
+        assert layer.steps == layer.total_fires
 
 
 def test_confluence_small_grid():
@@ -71,7 +72,7 @@ def test_confluence_small_grid():
             runs = [simulate(N, k, strategy=s, seed=seed)
                     for s in STRATEGIES for seed in range(3)]
             assert all(r == runs[0] for r in runs[1:]), (N, k)
-            assert runs[0].observables() == simulate_layers(N, k).observables()
+            assert runs[0] == simulate_layers(N, k)
 
 
 def test_node_matches_layers_and_stable_config():
@@ -96,7 +97,7 @@ def test_node_matches_layers_and_stable_config():
     for N, k in cases:
         node = simulate(N, k)
         layer = simulate_layers(N, k)
-        assert node.observables() == layer.observables(), (N, k)
+        assert node == layer, (N, k)
         assert layer.stable_chips == stable_config(N, k).c
 
 

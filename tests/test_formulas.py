@@ -74,11 +74,12 @@ def test_telescoping_differences():
 def test_vertex_fires_via_root():
     assert vertex_fires_via_root(15, 2, 1) == root_fires(7, 2) == 4
     assert vertex_fires_via_root(9, 3, 1) == 0
+    assert ROUTES["vertex_fires"] == (vertex_fires, vertex_fires_via_root)
     for k in (2, 3, 4, 6):
         for N in range(1, 300):
             n = height_index(N, k)
             for i in range(n):
-                assert vertex_fires_via_root(N, k, i) == vertex_fires(N, k, i)
+                assert formulas.crosscheck("vertex_fires", N, k, i) == vertex_fires(N, k, i)
 
 
 def test_root_fires_examples():

@@ -1,7 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import chipfire
+from chipfire import engine, formulas, schizo
 from chipfire.numerics import (
     DigitString,
     StableConfig,
@@ -14,6 +18,7 @@ from chipfire.numerics import (
     stable_config,
     to_base,
 )
+from chipfire.sequences import SequenceId, SequenceWindow, difference, generate
 
 
 @pytest.mark.parametrize("n,k,expected", [
@@ -183,3 +188,142 @@ def test_exact_div():
     assert exact_div(72, 6) == 12
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
+
+
+# one integer past CPython's 4300-digit str/int limit, and its text
+BIG, BIG_TEXT = 10**5001 - 1, "9" * 5001
+NEG, NEG_TEXT = -BIG, "-" + BIG_TEXT
+RANGE_CHECKS = [  # (id, call, its message)
+    ("height_index", lambda: height_index(NEG, 3),
+     f"height index is undefined for N = {NEG_TEXT}; need N >= 1"),
+    ("repunit-n", lambda: repunit(NEG, 2),
+     f"need n >= 0, got {NEG_TEXT}"),
+    ("repunit-k", lambda: repunit(3, NEG),
+     f"branching factor must be >= 2, got {NEG_TEXT}"),
+    ("to_base-x", lambda: to_base(NEG, 10),
+     f"cannot expand negative value {NEG_TEXT}"),
+    ("to_base-width", lambda: to_base(5, 10, NEG),
+     f"need width >= 0, got {NEG_TEXT}"),
+    ("DigitString-radix", lambda: DigitString(radix=NEG, digits=()),
+     f"need radix >= 2, got {NEG_TEXT}"),
+    ("DigitString-digit", lambda: DigitString(radix=10, digits=(BIG,)),
+     f"digit {BIG_TEXT} out of range for radix 10"),
+    ("StableConfig", lambda: StableConfig(k=3, n=1, c=(BIG,)),
+     f"per-vertex count {BIG_TEXT} outside 1..3"),
+    ("nu", lambda: nu(NEG, 2),
+     f"trailing-zero count is undefined for x = {NEG_TEXT}"),
+    ("exact_div", lambda: exact_div(BIG, 2),
+     f"{BIG_TEXT} is not divisible by 2"),
+    ("vertex_fires", lambda: formulas.vertex_fires(9, 3, BIG),
+     f"layer index {BIG_TEXT} out of range for height index 2"),
+    ("fires_difference", lambda: formulas.fires_difference(9, 3, NEG),
+     f"layer index {NEG_TEXT} out of range for height index 2"),
+    ("vertex_fires_via_root", lambda: formulas.vertex_fires_via_root(9, 3, BIG),
+     f"layer index {BIG_TEXT} out of range for height index 2"),
+    ("special_vertex_fires", lambda: formulas.special_vertex_fires(3, 2, BIG),
+     f"layer index {BIG_TEXT} out of range for height index 3"),
+    ("root_fires", lambda: formulas.root_fires(NEG, 2),
+     f"height index is undefined for N = {NEG_TEXT}; need N >= 1"),
+    ("root_fires_rec", lambda: formulas.root_fires_rec(NEG, 2),
+     f"need N >= 0, got {NEG_TEXT}"),
+    ("total_fires_rec", lambda: formulas.total_fires_rec(NEG, 2),
+     f"need N >= 0, got {NEG_TEXT}"),
+    ("special_root_fires", lambda: formulas.special_root_fires(NEG, 3),
+     f"need n >= 1, got {NEG_TEXT}"),
+    ("special_total_fires", lambda: formulas.special_total_fires(NEG, 3),
+     f"need n >= 1, got {NEG_TEXT}"),
+    ("divisibility_check", lambda: formulas.divisibility_check(NEG, 3),
+     f"need j >= 0, got {NEG_TEXT}"),
+    ("a_seq-n", lambda: formulas.a_seq(NEG, 3),
+     f"need n >= 1, got {NEG_TEXT}"),
+    ("b_seq", lambda: formulas.b_seq(NEG, 3),
+     f"need n >= 1, got {NEG_TEXT}"),
+    ("a_seq-k", lambda: formulas.a_seq(3, NEG),
+     f"branching factor must be >= 2, got {NEG_TEXT}"),
+    ("d0_formula", lambda: formulas.d0_formula(NEG, 2),
+     f"need m >= 1, got {NEG_TEXT}"),
+    ("d0_recursive", lambda: formulas.d0_recursive(NEG, 2),
+     f"need m >= 1, got {NEG_TEXT}"),
+    ("D_recursive", lambda: formulas.D_recursive(NEG, 2),
+     f"need m >= 1, got {NEG_TEXT}"),
+    ("D_explicit", lambda: formulas.D_explicit(NEG, 2),
+     f"need m >= 1, got {NEG_TEXT}"),
+    ("D_diff", lambda: formulas.D_diff(NEG, 2),
+     f"need m >= 1, got {NEG_TEXT}"),
+    ("d0_by_replacement", lambda: formulas.d0_by_replacement(NEG, 2),
+     f"need count >= 1, got {NEG_TEXT}"),
+    ("simulate-N", lambda: engine.simulate(NEG, 2),
+     f"need N >= 0, got {NEG_TEXT}"),
+    ("simulate_layers", lambda: engine.simulate_layers(NEG, 2),
+     f"need N >= 0, got {NEG_TEXT}"),
+    ("simulate-size", lambda: engine.simulate(BIG + 1, 10),
+     f"N=1{'0' * 5001}, k=10 touches about {'1' * 5001} nodes (budget 10000000); "
+     "pass force=True to run anyway"),
+    ("sqrt_digits-x", lambda: schizo.sqrt_digits(NEG, 5),
+     f"need x >= 1, got {NEG_TEXT}"),
+    ("sqrt_digits-precision", lambda: schizo.sqrt_digits(5, NEG),
+     f"need precision >= 1, got {NEG_TEXT}"),
+    ("inv_sqrt_digits-x", lambda: schizo.inv_sqrt_digits(NEG, 5),
+     f"need x >= 1, got {NEG_TEXT}"),
+    ("inv_sqrt_digits-precision", lambda: schizo.inv_sqrt_digits(5, NEG),
+     f"need precision >= 1, got {NEG_TEXT}"),
+    ("block_report", lambda: schizo.block_report(schizo.sqrt_digits(2, 5), NEG),
+     f"need min_run >= 2, got {NEG_TEXT}"),
+    ("schizo_survey", lambda: schizo.schizo_survey(3, NEG, 5),
+     f"need n_max >= 1, got {NEG_TEXT}"),
+    ("generate-count", lambda: generate(SequenceId("g0", 3), count=NEG),
+     f"need count >= 1, got {NEG_TEXT}"),
+    ("generate-start", lambda: generate(SequenceId("g0", 3), start=NEG),
+     f"sequences are 1-indexed; got start {NEG_TEXT}"),
+    ("difference", lambda: difference(SequenceWindow(SequenceId("x", 2), 1, (BIG, 1))),
+     f"negative difference 1 - {BIG_TEXT} in x (k=2)"),
+]
+
+
+@pytest.mark.parametrize("call,message",
+                         [pytest.param(call, message, id=i) for i, call, message in RANGE_CHECKS])
+def test_messages_carry_integers_past_the_digit_limit(call, message):
+    with pytest.raises((ValueError, ArithmeticError)) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_crosscheck_names_values_past_the_digit_limit(monkeypatch):
+    monkeypatch.setitem(formulas.ROUTES, "d0", (lambda m, k: BIG, lambda m, k: BIG - 1))
+    with pytest.raises(AssertionError) as exc:
+        formulas.crosscheck("d0", NEG, 2)
+    assert str(exc.value) == (f"d0({NEG_TEXT}, 2): routes disagree: "
+                              f"<lambda> {BIG_TEXT}, <lambda> {BIG_TEXT[:-1]}8")
+
+
+# placeholders of a raise that hold text, never an integer
+TEXT_PLACEHOLDERS = {
+    "name",  # _require_at_least: the parameter or option name
+    "STRATEGIES",  # engine: the tuple of strategy names
+    "quantity",  # crosscheck: a ROUTES key
+    "detail",  # crosscheck: route names and values already through format_int
+    "window.id.name",  # sequences.difference: the sequence id
+}
+
+
+def test_raised_messages_format_no_bare_integer():
+    # str() of an int past the digit limit raises in place of the message, so
+    # every integer in a message goes through format_int
+    found = []
+    for path in sorted(Path(chipfire.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            for part in ast.walk(node):
+                if isinstance(part, ast.FormattedValue):
+                    bad = (isinstance(part.value, (ast.Name, ast.Attribute))
+                           and part.conversion != ord("r")
+                           and ast.unparse(part.value) not in TEXT_PLACEHOLDERS)
+                elif isinstance(part, ast.Call):  # str(x), "...".format(x)
+                    bad = (isinstance(part.func, ast.Name) and part.func.id == "str"
+                           or isinstance(part.func, ast.Attribute) and part.func.attr == "format")
+                else:  # "..." % x
+                    bad = isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mod)
+                if bad:
+                    found.append(f"{path.name}:{part.lineno}: {ast.unparse(part)}")
+    assert not found, found

@@ -4,6 +4,7 @@ Examples are derandomized and no example database is kept, so every run
 draws the same cases and nothing is written into the checkout.
 """
 
+import contextlib
 import io
 import json
 import random
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from chipfire import cli
 from chipfire.engine import STRATEGIES, simulate, simulate_layers
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
@@ -43,7 +45,7 @@ def bounded(max_examples):
 def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
     assert run == simulate(N, k)
-    assert run.observables() == simulate_layers(N, k).observables()
+    assert run == simulate_layers(N, k)
 
 
 @bounded(300)
@@ -144,3 +146,40 @@ def test_emitters_parse_back_to_the_window(start, values):
     if all(v < 10**4300 for v in values):
         assert out["json"] == json.dumps([list(p) for p in pairs], separators=(",", ":")) + "\n"
         assert out["bfile"] == "".join(f"{i} {v}\n" for i, v in pairs)
+
+
+# every integer option with a lower bound, the bad value in its place
+BAD_OPTIONS = [
+    ("stable", "-N", "{}", "-k", "3"), ("stable", "-N", "5", "-k", "{}"),
+    ("fires", "-N", "{}", "-k", "3"), ("fires", "-N", "5", "-k", "{}"),
+    ("seq", "g0", "-k", "{}"), ("seq", "g0", "-k", "2", "-n", "{}"),
+    ("seq", "g0", "-k", "2", "--start", "{}"),
+    ("schizo", "-k", "{}", "-n", "2", "-p", "5"), ("schizo", "-k", "3", "-n", "{}", "-p", "5"),
+    ("schizo", "-k", "3", "-n", "2", "-p", "{}"),
+    ("schizo", "-k", "3", "-n", "2", "-p", "5", "--min-run", "{}"),
+    ("verify", "-k", "2", "-N", "{}"), ("verify", "-k", "2", "-N", "3", "--seeds", "{}"),
+    ("verify", "-k", "2", "-N", "3", "--node-N", "{}"),
+]
+
+
+def _cli(template, value):
+    argv = [format_int(value) if part == "{}" else part for part in template]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("template", BAD_OPTIONS, ids=lambda t: t[0] + t[t.index("{}") - 1])
+@bounded(3)
+@given(near=st.integers(4_290, 4_310), far=st.integers(9_990, 10_010),
+       seed=st.integers(0, 2**64))
+def test_bad_arguments_name_themselves_at_any_size(template, near, far, seed):
+    # the message of a bad value of any length is the message of a small one,
+    # on both sides of the 4300-digit limit
+    code, out, err = _cli(template, -7)
+    assert code == 2 and not out and err.count("-7") == 1, err
+    rng = random.Random(seed)
+    for digits in (near, far):
+        value = -rng.randrange(10**(digits - 1), 10**digits)
+        assert _cli(template, value) == (2, "", err.replace("-7", format_int(value)))
