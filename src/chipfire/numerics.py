@@ -13,7 +13,8 @@ k^floor(w/2), until a piece has at most 32 digits.  `format_int` and
 `parse_int` are the decimal text of every integer the package prints or
 parses, messages included; they use str() and int() up to the interpreter's
 digit limit (4300 by default) and the splitter above it, so no size of integer
-is refused.  Every range check is one `_require_at_least` call.
+is refused.  Every `need X >= lo, got v` check is one `_require_at_least`
+call, and every integer in a message goes through `format_int`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _LEAF = 32  # widest piece the splitter converts digit by digit
 # the limit on str(int) and int(str), read at each call; 0 and older Pythons: none
 _str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-# no limit can be set below 640 digits, so ints this short never read it
-_UNCHECKED_BITS = (10**640).bit_length() - 1
 _DECIMAL = r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"  # compiled on first use, not on import
 
 
@@ -196,8 +195,7 @@ def _str_bits(limit: int) -> int:  # ints of <= this many bits have <= limit dig
 
 def format_int(x: int) -> str:
     """Decimal text of x, as str(x) gives it, at any size."""
-    bits = x.bit_length()
-    if bits <= _UNCHECKED_BITS or bits <= _str_bits(_str_digits_limit()):
+    if x.bit_length() <= _str_bits(_str_digits_limit()):
         return str(x)
     return ("-" if x < 0 else "") + str(to_base(abs(x), 10))
 

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/golden/make_cli_transcript.py
 
-`tests/test_cli.py::test_golden_cli_transcript` replays the file, so run
-this only to record a deliberate change of the CLI's output.
+`tests/test_cli.py::test_golden_cli_transcript` replays the file through
+`record`, so the replay captures exactly as the recording did; run this only
+to record a deliberate change of the CLI's output.
 """
 
 import contextlib

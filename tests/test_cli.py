@@ -1,6 +1,5 @@
 import argparse
 import ast
-import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +12,7 @@ import pytest
 import chipfire
 from chipfire import cli, formulas, numerics, schizo
 from chipfire.numerics import format_int, parse_int
+from golden.make_cli_transcript import record
 
 
 def run(capsys, *argv):
@@ -325,21 +325,11 @@ def test_module_runs_as_script(module):
     assert cli_run("stable", "-N", "0", "-k", "3").returncode == 2
 
 
-def test_golden_cli_transcript(capsys, monkeypatch):
-    # recorded by tests/golden/make_cli_transcript.py: exit code, stdout
-    # sha256 and stderr of each argv
+def test_golden_cli_transcript(monkeypatch):
+    # each argv runs through the recorder that wrote the file
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
     transcript = json.loads((Path(__file__).parent / "golden" / "cli_transcript.json").read_text())
-    changed = []
-    for entry in transcript:
-        try:
-            code = cli.main(entry["argv"])
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        out, err = capsys.readouterr()
-        if (code, hashlib.sha256(out.encode()).hexdigest(), err) != (
-                entry["exit"], entry["stdout_sha256"], entry["stderr"]):
-            changed.append((entry["argv"], code, err))
+    changed = [(entry, now) for entry in transcript if (now := record(entry["argv"])) != entry]
     assert len(transcript) >= 80
     assert not changed, changed
 

@@ -296,34 +296,116 @@ def test_crosscheck_names_values_past_the_digit_limit(monkeypatch):
                               f"<lambda> {BIG_TEXT}, <lambda> {BIG_TEXT[:-1]}8")
 
 
-# placeholders of a raise that hold text, never an integer
+# (module, placeholder) pairs of a message that hold text, never an integer
 TEXT_PLACEHOLDERS = {
-    "name",  # _require_at_least: the parameter or option name
-    "STRATEGIES",  # engine: the tuple of strategy names
-    "quantity",  # crosscheck: a ROUTES key
-    "detail",  # crosscheck: route names and values already through format_int
-    "window.id.name",  # sequences.difference: the sequence id
+    ("numerics.py", "name"),  # _require_at_least: the parameter or option name
+    ("numerics.py", "text"),  # parse_int: the rejected literal
+    ("cli.py", "text"),  # _decimal and _parse_k_range: the rejected argument
+    ("engine.py", "strategy"),  # _priority: the rejected strategy name
+    ("engine.py", "STRATEGIES"),  # _priority: the tuple of strategy names
+    ("formulas.py", "quantity"),  # crosscheck: a ROUTES key
+    ("formulas.py", "r.__name__"),  # crosscheck: a route's function name
+    ("sequences.py", "name"),  # _require_name: the rejected sequence id
+    ("sequences.py", "', '.join(SEQUENCE_NAMES)"),  # _require_name: the ids
+    ("sequences.py", "window.id.name"),  # difference: the sequence id
 }
 
 
+def _is_format_int(value):
+    """format_int(x), or sep.join(map(format_int, xs))."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id == "format_int"
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "join" and len(value.args) == 1
+            and isinstance(value.args[0], ast.Call)
+            and ast.unparse(value.args[0]).startswith("map(format_int, "))
+
+
+def _message_problems(path):
+    """Integers a raised message may turn into text without format_int.
+
+    A message is the expression of a raise, plus the text it interpolates from
+    a local name or from a call of a function of the same module: the
+    assignments to that name and that function's return values, which must
+    themselves be text and are checked the same way.
+    """
+    tree = ast.parse(path.read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    todo = [(node, f) for f in functions.values()
+            for node in ast.walk(f) if isinstance(node, ast.Raise)]
+    seen, found = set(), []
+    while todo:
+        message, scope = todo.pop()
+        if id(message) in seen:
+            continue
+        seen.add(id(message))
+        for part in ast.walk(message):
+            if isinstance(part, ast.FormattedValue):
+                value, built = part.value, []
+                if isinstance(value, ast.Name):
+                    built = [(a.value, scope) for a in ast.walk(scope)
+                             if isinstance(a, ast.Assign)
+                             and any(isinstance(t, ast.Name) and t.id == value.id
+                                     for t in a.targets)]
+                elif (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                      and value.func.id in functions and value.func.id != "format_int"):
+                    callee = functions[value.func.id]
+                    built = [(r.value, callee) for r in ast.walk(callee)
+                             if isinstance(r, ast.Return) and r.value is not None]
+                # f-strings and joins are text; what they interpolate is checked
+                text = all(isinstance(b, ast.JoinedStr) or _is_format_int(b)
+                           or isinstance(b, ast.Call) and isinstance(b.func, ast.Attribute)
+                           and b.func.attr == "join" for b, _ in built)
+                bad = not (_is_format_int(value)
+                           or (path.name, ast.unparse(value)) in TEXT_PLACEHOLDERS
+                           or built and text)
+                todo += built
+            elif isinstance(part, ast.Name):  # str(x), repr(x), map(str, xs)
+                bad = part.id in ("str", "repr")
+            elif isinstance(part, ast.Attribute):  # "...".format(x)
+                bad = part.attr == "format"
+            else:  # "..." % x
+                bad = isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mod)
+            if bad:
+                found.append(f"{path.name}:{part.lineno}: {ast.unparse(part)}")
+    return found
+
+
 def test_raised_messages_format_no_bare_integer():
-    # str() of an int past the digit limit raises in place of the message, so
-    # every integer in a message goes through format_int
-    found = []
-    for path in sorted(Path(chipfire.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Raise):
-                continue
-            for part in ast.walk(node):
-                if isinstance(part, ast.FormattedValue):
-                    bad = (isinstance(part.value, (ast.Name, ast.Attribute))
-                           and part.conversion != ord("r")
-                           and ast.unparse(part.value) not in TEXT_PLACEHOLDERS)
-                elif isinstance(part, ast.Call):  # str(x), "...".format(x)
-                    bad = (isinstance(part.func, ast.Name) and part.func.id == "str"
-                           or isinstance(part.func, ast.Attribute) and part.func.attr == "format")
-                else:  # "..." % x
-                    bad = isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mod)
-                if bad:
-                    found.append(f"{path.name}:{part.lineno}: {ast.unparse(part)}")
+    # str() and repr() of an int past the digit limit raise in place of the
+    # message, so every integer in a message goes through format_int
+    found = [problem for path in sorted(Path(chipfire.__file__).parent.glob("*.py"))
+             for problem in _message_problems(path)]
     assert not found, found
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("def f(x):\n    raise ValueError(f'bad {x}')", True),
+    ("def f(x):\n    raise ValueError(f'bad {x!r}')", True),
+    ("def f(x):\n    raise ValueError(f'bad {x - 1}')", True),
+    ("def f(x):\n    raise ValueError(f'bad {len(x)}')", True),
+    ("def f(x):\n    d = f'{x}'\n    raise ValueError(f'bad {d}')", True),
+    ("def f(x):\n    d = x + 1\n    raise ValueError(f'bad {d}')", True),
+    ("def g(x):\n    return f'{x}'\ndef f(x):\n    raise ValueError(f'bad {g(x)}')", True),
+    ("def f(x):\n    raise ValueError('bad ' + str(x))", True),
+    ("def f(x):\n    d = ', '.join(map(str, x))\n    raise ValueError(f'bad {d}')", True),
+    ("def f(x):\n    raise ValueError('bad {}'.format(x))", True),
+    ("def f(x):\n    raise ValueError('bad %d' % x)", True),
+    ("def f(x):\n    raise ValueError(f'bad {format_int(x - 1)}')", False),
+    ("def f(x):\n    raise ValueError(f'bad {\", \".join(map(format_int, x))}')", False),
+    ("def f(x):\n    d = f'{format_int(x)}'\n    raise ValueError(f'bad {d}')", False),
+    ("def g(x):\n    return f'{format_int(x)}'\n"
+     "def f(x):\n    raise ValueError(f'bad {g(x)}')", False),
+])
+def test_message_guard_sees_every_integer(tmp_path, source, flagged):
+    path = tmp_path / "formulas.py"
+    path.write_text(source)
+    assert bool(_message_problems(path)) == flagged
+
+
+def test_message_guard_allows_text_only_where_listed(tmp_path):
+    source = "def f(name):\n    raise ValueError(f'bad {name}')"
+    for module, flagged in (("numerics.py", False), ("formulas.py", True)):
+        path = tmp_path / module
+        path.write_text(source)
+        assert bool(_message_problems(path)) == flagged

@@ -4,7 +4,6 @@ Examples are derandomized and no example database is kept, so every run
 draws the same cases and nothing is written into the checkout.
 """
 
-import contextlib
 import io
 import json
 import random
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from chipfire import cli
 from chipfire.engine import STRATEGIES, simulate, simulate_layers
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
@@ -26,6 +24,7 @@ from chipfire.numerics import format_int, parse_int, stable_config, to_base
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
 from chipfire.sequences import (SequenceId, SequenceWindow, emit_bfile, emit_csv,
                                 emit_json)
+from golden.make_cli_transcript import run
 
 
 # Even without a database, Hypothesis caches the constants it mines from local
@@ -163,11 +162,7 @@ BAD_OPTIONS = [
 
 
 def _cli(template, value):
-    argv = [format_int(value) if part == "{}" else part for part in template]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return run([format_int(value) if part == "{}" else part for part in template])
 
 
 @pytest.mark.parametrize("template", BAD_OPTIONS, ids=lambda t: t[0] + t[t.index("{}") - 1])
