@@ -27,7 +27,7 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = numerics.parse_int(lo_s), numerics.parse_int(hi_s)
@@ -35,7 +35,7 @@ def _parse_k_range(text: str) -> list[int]:
         lo = hi = numerics.parse_int(text)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad k range {text!r}; need 2 <= lo <= hi")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def cmd_stable(args) -> int:

@@ -11,23 +11,21 @@ One divide-and-conquer splitter turns an integer into base-k digits
 splits into its low floor(w/2) digits and the rest at the power
 k^floor(w/2), until a piece has at most 32 digits.  `format_int` and
 `parse_int` are the decimal text of every integer the package prints or
-parses, messages included; they use str() and int() up to the interpreter's
-digit limit (4300 by default) and the splitter above it, so no size of integer
-is refused.  Every `need X >= lo, got v` check is one `_require_at_least`
-call, and every integer in a message goes through `format_int`.
+parses, messages included; they ask str() and int() first and use the
+splitter only when those refuse a value past the interpreter's digit limit,
+so no size of integer is refused and the limit is never read or lifted.
+Every `need X >= lo, got v` check is one `_require_at_least` call, and every
+integer in a message goes through `format_int`.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _LEAF = 32  # widest piece the splitter converts digit by digit
-# the limit on str(int) and int(str), read at each call; 0 and older Pythons: none
-_str_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _DECIMAL = r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"  # compiled on first use, not on import
 
 
@@ -188,16 +186,12 @@ def to_base(x: int, k: int, width: int | None = None) -> DigitString:
     return DigitString(radix=k, digits=tuple(digits))
 
 
-@lru_cache(maxsize=8)
-def _str_bits(limit: int) -> int:  # ints of <= this many bits have <= limit digits
-    return (10**limit).bit_length() - 1 if limit else sys.maxsize  # 0: no limit
-
-
 def format_int(x: int) -> str:
     """Decimal text of x, as str(x) gives it, at any size."""
-    if x.bit_length() <= _str_bits(_str_digits_limit()):
+    try:
         return str(x)
-    return ("-" if x < 0 else "") + str(to_base(abs(x), 10))
+    except ValueError:  # past the interpreter's digit limit
+        return ("-" if x < 0 else "") + str(to_base(abs(x), 10))
 
 
 def parse_int(text: str) -> int:
@@ -206,9 +200,10 @@ def parse_int(text: str) -> int:
     Past the digit limit only ASCII digits are read, with an optional sign,
     single underscores between digits and surrounding whitespace.
     """
-    limit = _str_digits_limit()
-    if not limit or len(text) <= limit:
+    try:
         return int(text)
+    except ValueError:  # a malformed literal, or one past the digit limit
+        pass
     match = re.fullmatch(_DECIMAL, text)
     if match is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")

@@ -82,21 +82,15 @@ def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
 
 
 def difference(window: SequenceWindow) -> SequenceWindow:
-    """First differences; entry i holds values[i+1] - values[i].
+    """First differences; entry i holds values[i+1] - values[i], of any sign.
 
-    The families here are nondecreasing, so a negative difference signals a
-    generator bug and is rejected.
+    g0 and G are nondecreasing, but d0 and D, their own differences, are not.
     """
     if len(window.values) < 2:
         raise ValueError("difference needs a window of length >= 2")
-    diffs = []
-    for prev, cur in zip(window.values, window.values[1:]):
-        if cur < prev:
-            raise ValueError(f"negative difference {format_int(cur)} - {format_int(prev)} "
-                             f"in {window.id.name} (k={format_int(window.id.k)})")
-        diffs.append(cur - prev)
+    diffs = tuple(cur - prev for prev, cur in zip(window.values, window.values[1:]))
     out_id = SequenceId(name=window.id.name + ".diff", k=window.id.k)
-    return SequenceWindow(id=out_id, start=window.start, values=tuple(diffs))
+    return SequenceWindow(id=out_id, start=window.start, values=diffs)
 
 
 # --- published values --------------------------------------------------------
@@ -197,8 +191,8 @@ def json_text(obj) -> str:
     """Canonical JSON: sorted keys, no spaces, every int through `format_int`.
 
     The bytes equal json.dumps(obj, sort_keys=True, separators=(",", ":")),
-    which refuses ints beyond 4300 digits, for payloads of dicts with str
-    keys, lists, tuples, str and int.
+    which refuses ints past the interpreter's digit limit, for payloads of
+    dicts with str keys, lists, tuples, str and int.
     """
     if type(obj) is int:  # not bool, which json spells true/false
         return format_int(obj)

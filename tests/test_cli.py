@@ -12,17 +12,11 @@ import pytest
 import chipfire
 from chipfire import cli, formulas, numerics, schizo
 from chipfire.numerics import format_int, parse_int
-from golden.make_cli_transcript import record
+from golden.make_cli_transcript import record, run
 
 
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def test_stable_table(capsys):
-    code, out, _ = run(capsys, "stable", "-N", "9", "-k", "3")
+def test_stable_table():
+    code, out, _ = run(["stable", "-N", "9", "-k", "3"])
     assert code == 0
     assert "n = 2" in out
     assert "digits = 12" in out
@@ -30,67 +24,74 @@ def test_stable_table(capsys):
     assert "layer 2: 2 chips" in out
 
 
-def test_stable_trivial_and_ones(capsys):
-    code, out, _ = run(capsys, "stable", "-N", "1", "-k", "7")
+def test_stable_trivial_and_ones():
+    code, out, _ = run(["stable", "-N", "1", "-k", "7"])
     assert code == 0
     assert "layer 1: 1 chips" in out
-    code, out, _ = run(capsys, "stable", "-N", "15", "-k", "2", "--format", "json")
+    code, out, _ = run(["stable", "-N", "15", "-k", "2", "--format", "json"])
     assert code == 0
     assert json.loads(out)["chips_per_vertex"] == [1, 1, 1, 1]
 
 
-def test_stable_rejects_zero(capsys):
-    code, _, err = run(capsys, "stable", "-N", "0", "-k", "3")
+def test_stable_rejects_zero():
+    code, _, err = run(["stable", "-N", "0", "-k", "3"])
     assert code == 2
     assert "error" in err
 
 
-def test_fires_examples(capsys):
-    code, out, _ = run(capsys, "fires", "-N", "9", "-k", "3")
+def test_fires_examples():
+    code, out, _ = run(["fires", "-N", "9", "-k", "3"])
     assert code == 0
     assert "layer 1: 2 fires" in out
     assert "total fires = 2" in out
 
-    code, out, _ = run(capsys, "fires", "-N", "16", "-k", "2", "-f", "json")
+    code, out, _ = run(["fires", "-N", "16", "-k", "2", "-f", "json"])
     payload = json.loads(out)
     assert payload["root_fires"] == 11
     assert payload["total_fires"] == 23
 
-    code, out, _ = run(capsys, "fires", "-N", "3", "-k", "3")
+    code, out, _ = run(["fires", "-N", "3", "-k", "3"])
     assert "root fires = 0" in out
     assert "total fires = 0" in out
 
 
-def test_seq_listing(capsys):
-    code, out, _ = run(capsys, "seq", "d0", "-k", "2", "-n", "18")
+def test_seq_listing():
+    code, out, _ = run(["seq", "d0", "-k", "2", "-n", "18"])
     assert code == 0
     assert "1, 1, 2, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1" in out
 
-    code, out, _ = run(capsys, "seq", "a", "-k", "10", "-n", "7")
+    code, out, _ = run(["seq", "a", "-k", "10", "-n", "7"])
     assert "1, 12, 123, 1234, 12345, 123456, 1234567" in out
 
-    code, out, _ = run(capsys, "seq", "g0", "-k", "6", "-n", "10")
+    code, out, _ = run(["seq", "g0", "-k", "6", "-n", "10"])
     assert "0, 1, 2, 3, 4, 5, 6, 8, 9, 10" in out
 
 
-def test_seq_bfile_bytes(capsys):
-    code, out, _ = run(capsys, "seq", "g0", "-k", "3", "-n", "14", "-f", "bfile")
+def test_seq_bfile_bytes():
+    code, out, _ = run(["seq", "g0", "-k", "3", "-n", "14", "-f", "bfile"])
     assert code == 0
     assert out == ("1 0\n2 1\n3 2\n4 3\n5 5\n6 6\n7 7\n8 9\n9 10\n10 11\n"
                    "11 13\n12 14\n13 15\n14 18\n")
 
 
-def test_seq_csv_and_diff(capsys):
-    code, out, _ = run(capsys, "seq", "G", "-k", "2", "-n", "8", "--diff",
-                       "-f", "csv", "--header")
+def test_seq_csv_and_diff():
+    code, out, _ = run(["seq", "G", "-k", "2", "-n", "8", "--diff",
+                        "-f", "csv", "--header"])
     assert code == 0
     assert out.splitlines()[0] == "index,value"
     assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
         "1", "1", "4", "1", "4", "1", "11"]
 
 
-def test_seq_json_round_trips(capsys):
-    code, out, _ = run(capsys, "seq", "D", "-k", "3", "-n", "19", "-f", "json")
+def test_seq_diff_of_a_difference_sequence():
+    # d0 is not monotone, so its differences take both signs
+    code, out, _ = run(["seq", "d0", "-k", "2", "-n", "6", "--diff"])
+    assert code == 0
+    assert out == "d0.diff (k = 2): 0, 1, -1, 1, -1\n"
+
+
+def test_seq_json_round_trips():
+    code, out, _ = run(["seq", "D", "-k", "3", "-n", "19", "-f", "json"])
     assert code == 0
     parsed = json.loads(out)
     assert json.dumps(parsed, separators=(",", ":")) + "\n" == out
@@ -98,67 +99,73 @@ def test_seq_json_round_trips(capsys):
                                       1, 1, 5, 1, 1, 5]
 
 
-def test_seq_unknown_id(capsys):
-    code, _, err = run(capsys, "seq", "zeta", "-k", "2")
+def test_seq_unknown_id():
+    code, _, err = run(["seq", "zeta", "-k", "2"])
     assert code == 2
     assert "available" in err
 
 
-def test_verify_passes(capsys):
-    code, out, _ = run(capsys, "verify", "-k", "2..4", "-N", "120")
+def test_verify_passes():
+    code, out, _ = run(["verify", "-k", "2..4", "-N", "120"])
     assert code == 0
     assert "all checks passed" in out
 
 
-def test_verify_with_strategies(capsys):
-    code, out, _ = run(capsys, "verify", "-k", "2", "-N", "60",
-                       "--strategies", "all", "--seeds", "2")
+def test_verify_with_strategies():
+    code, out, _ = run(["verify", "-k", "2", "-N", "60",
+                        "--strategies", "all", "--seeds", "2"])
     assert code == 0
     assert "confluent" in out
 
 
-def test_verify_reports_first_mismatch(capsys, monkeypatch):
+def test_verify_reports_first_mismatch(monkeypatch):
     from chipfire import formulas
 
     real = formulas.root_fires
     monkeypatch.setitem(formulas.ROUTES, "root_fires",
                         (lambda N, k: real(N, k) + (N == 40), formulas.root_fires_rec))
-    code, out, _ = run(capsys, "verify", "-k", "2..3", "-N", "60")
+    code, out, _ = run(["verify", "-k", "2..3", "-N", "60"])
     assert code == 1
     assert "FAIL" in out
     assert "N=40, k=2" in out
 
 
-def test_verify_rejects_bad_ranges(capsys):
-    code, _, err = run(capsys, "verify", "-k", "2", "-N", "0")
+def test_verify_rejects_bad_ranges():
+    code, _, err = run(["verify", "-k", "2", "-N", "0"])
     assert code == 2
-    code, _, err = run(capsys, "verify", "-k", "1..3", "-N", "10")
+    code, _, err = run(["verify", "-k", "1..3", "-N", "10"])
     assert code == 2
-    code, _, err = run(capsys, "verify", "-k", "2", "-N", "10",
-                       "--strategies", "sideways")
+    code, _, err = run(["verify", "-k", "2", "-N", "10",
+                        "--strategies", "sideways"])
     assert code == 2
     for option in (("--seeds", "0"), ("--seeds", "-1"), ("--node-N", "0")):
-        code, out, err = run(capsys, "verify", "-k", "2", "-N", "5",
-                             "--strategies", "bfs", *option)
+        code, out, err = run(["verify", "-k", "2", "-N", "5",
+                              "--strategies", "bfs", *option])
         assert code == 2, option
         assert "error:" in err and not out, option
 
 
-def test_schizo_table(capsys):
-    code, out, _ = run(capsys, "schizo", "-k", "10", "-n", "11", "-p", "53")
+def test_k_range_is_lazy():
+    ks = cli._parse_k_range("2..1" + "0" * 20)
+    assert isinstance(ks, range)
+    assert list(ks[:3]) == [2, 3, 4] and ks[-1] == 10**20
+
+
+def test_schizo_table():
+    code, out, _ = run(["schizo", "-k", "10", "-n", "11", "-p", "53"])
     assert code == 0
     assert ("111111.11110505555555539054166665767340972160955659283519805"
             in out)
     assert "digit 5 at offset 7, length 8" in out
 
-    code, out, _ = run(capsys, "schizo", "-k", "10", "-n", "1", "-p", "5")
+    code, out, _ = run(["schizo", "-k", "10", "-n", "1", "-p", "5"])
     assert "1.00000" in out
     assert "no repeated-digit blocks" in out
 
 
-def test_schizo_inverse_json(capsys):
-    code, out, _ = run(capsys, "schizo", "-k", "10", "-n", "11", "-p", "64",
-                       "--inverse", "-f", "json")
+def test_schizo_inverse_json():
+    code, out, _ = run(["schizo", "-k", "10", "-n", "11", "-p", "64",
+                        "--inverse", "-f", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["digits"] == ("0.00000900000000049050000004009837500364226"
@@ -167,28 +174,22 @@ def test_schizo_inverse_json(capsys):
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
-def test_schizo_rejects_small_k(capsys):
+def test_schizo_rejects_small_k():
     for k in ("0", "1", "-2"):
-        code, out, err = run(capsys, "schizo", "-k", k, "-n", "3", "-p", "5")
+        code, out, err = run(["schizo", "-k", k, "-n", "3", "-p", "5"])
         assert code == 2, k
         assert "error: branching factor" in err and not out, k
 
 
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["stable", "-N", "9"])  # missing -k
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fires", "-N", "9" * 5000 + "x", "-k", "3"])  # past int()'s limit
-    assert exc.value.code == 2
+    assert run(["stable", "-N", "9"])[0] == 2  # missing -k
+    assert run(["no-such-command"])[0] == 2
+    assert run(["fires", "-N", "9" * 5000 + "x", "-k", "3"])[0] == 2  # past int()'s limit
 
 
-def test_arbitrary_precision_arguments(capsys):
+def test_arbitrary_precision_arguments():
     big = str(10**30)
-    code, out, _ = run(capsys, "fires", "-N", big, "-k", "10", "-f", "json")
+    code, out, _ = run(["fires", "-N", big, "-k", "10", "-f", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["N"] == 10**30
@@ -205,11 +206,11 @@ def _json(out):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_fires_past_the_digit_limit(capsys, fmt):
+def test_fires_past_the_digit_limit(fmt):
     profile = formulas.fire_profile(BIG_N, BIG_K)
     assert profile.n == 5
-    code, out, _ = run(capsys, "fires", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
-                       "-f", fmt)
+    code, out, _ = run(["fires", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
+                        "-f", fmt])
     assert code == 0
     lines = out.splitlines()
     if fmt == "json":
@@ -228,10 +229,10 @@ def test_fires_past_the_digit_limit(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_stable_past_the_digit_limit(capsys, fmt):
+def test_stable_past_the_digit_limit(fmt):
     cfg = numerics.stable_config(BIG_N, BIG_K)
-    code, out, _ = run(capsys, "stable", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
-                       "-f", fmt)
+    code, out, _ = run(["stable", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
+                        "-f", fmt])
     assert code == 0
     digits = ".".join(str(c - 1) for c in reversed(cfg.c))
     if fmt == "json":
@@ -249,9 +250,9 @@ def test_stable_past_the_digit_limit(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
-def test_seq_past_the_digit_limit(capsys, fmt):
-    code, out, _ = run(capsys, "seq", "F_special", "-k", "10", "--start", "4400",
-                       "-n", "3", "-f", fmt)
+def test_seq_past_the_digit_limit(fmt):
+    code, out, _ = run(["seq", "F_special", "-k", "10", "--start", "4400",
+                        "-n", "3", "-f", fmt])
     assert code == 0
     if fmt == "json":
         pairs = [tuple(p) for p in _json(out)]
@@ -270,9 +271,9 @@ def test_seq_past_the_digit_limit(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_schizo_past_the_digit_limit(capsys, fmt):
+def test_schizo_past_the_digit_limit(fmt):
     value = formulas.a_seq(4401, 10)
-    code, out, _ = run(capsys, "schizo", "-k", "10", "-n", "4401", "-p", "5", "-f", fmt)
+    code, out, _ = run(["schizo", "-k", "10", "-n", "4401", "-p", "5", "-f", fmt])
     assert code == 0
     if fmt == "json":
         payload = _json(out)
@@ -338,9 +339,16 @@ def test_golden_cli_transcript(monkeypatch):
 def test_digit_limit_of_the_interpreter(limit):
     # the interpreter's current limit, not CPython's default, decides when
     # format_int and parse_int leave str() and int()
+    script = ("import sys\n"
+              "from chipfire import cli\n"
+              "from chipfire.numerics import format_int, parse_int\n"
+              "for n in (639, 640, 641):\n"
+              "    for x, text in ((10**n - 1, '9' * n), (-10 ** (n - 1), '-1' + '0' * (n - 1))):\n"
+              "        assert format_int(x) == text and parse_int(text) == x, n\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
     N = int("7" * 2000)
     done = subprocess.run(
-        [sys.executable, "-m", "chipfire", "fires", "-N", "7" * 2000, "-k", "10", "-f", "json"],
+        [sys.executable, "-c", script, "fires", "-N", "7" * 2000, "-k", "10", "-f", "json"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONINTMAXSTRDIGITS": limit})
     assert done.returncode == 0, done.stderr

@@ -88,11 +88,10 @@ def test_difference_matches_difference_sequences():
         assert difference(G).values == generate(SequenceId("D", k), count=200).values
 
 
-def test_difference_rejects_short_or_decreasing():
+def test_difference_rejects_short_keeps_sign():
     with pytest.raises(ValueError):
         difference(SequenceWindow(SequenceId("g0", 2), 1, (1,)))
-    with pytest.raises(ValueError):
-        difference(SequenceWindow(SequenceId("g0", 2), 1, (3, 1)))
+    assert difference(SequenceWindow(SequenceId("g0", 2), 1, (3, 1))).values == (-2,)
 
 
 def test_difference_index_convention():
