@@ -3,12 +3,13 @@
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
 parsed, and every integer printed, by `numerics.parse_int` and
 `numerics.format_int`, so no integer is too long.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error.
+1 verification mismatch, 2 usage error, 141 standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import engine, formulas, numerics, schizo, sequences
@@ -266,10 +267,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); send what is still buffered to
+        # devnull so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
 if __name__ == "__main__":

@@ -19,17 +19,19 @@ Two engines are provided:
   verification suite checks that they do.  Vertices are heap-numbered in
   two flat lists of chips and fires: vertex 0 is the root, the children of
   v are kv+1..kv+k, its parent is (v-1)//k, and layer i+1 is the index
-  range repunit(i)..repunit(i+1)-1.  One lazy heap holds the eligible
-  vertices: a vertex gets a fresh (key, count, v) entry whenever its count
-  changes to k+1 or more, and an entry whose count is no longer the
-  vertex's count is dropped when popped.  The strategy only sets the key:
-  v for "bfs" (heap numbering is (layer, offset) order), (-count, v) for
-  "max-chips", and a seeded random draw for "random", a random-priority
-  order.
+  range repunit(i)..repunit(i+1)-1.  One heap holds the eligible
+  vertices, and the strategy only sets the key: v for "bfs" (heap
+  numbering is (layer, offset) order), (-count, v) for "max-chips", and a
+  seeded random draw for "random", a random-priority order.  A vertex is
+  queued when its count reaches k+1 and again after a fire that leaves it
+  eligible; under "max-chips", whose key is the count, also on every
+  later gain, and an entry whose count is no longer the vertex's count is
+  dropped when popped.
 * `simulate_layers` exploits layer symmetry (every vertex on a layer carries
   the same count under the parallel strategy) and fires whole layers in
-  batches, which makes it fast enough to serve as the oracle for the
-  closed-form formulas over large ranges of N.
+  batches.  It starts from a lower bound on the fires of each layer, so a
+  deep pile takes about 0.26 n^2 batches, which makes it fast enough to
+  serve as the oracle for the closed-form formulas at hundreds of digits.
 
 Both engines end in `_result`, the one conservation and chip-range check.
 Neither engine imports `formulas`; `_budget` proves their step budget.
@@ -135,7 +137,8 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     """Stabilize N chips dropped on the root, firing one vertex at a time.
 
     The firing order follows `strategy` ("bfs", "max-chips" or "random");
-    `seed` only matters for the random strategy.  Raises TreeSizeError when
+    `seed` only matters for the random strategy, which draws one key each
+    time a vertex is queued.  Raises TreeSizeError when
     the run would touch more than NODE_BUDGET nodes and force is not set.
     """
     n, budget = _budget(N, k)
@@ -147,6 +150,9 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
             f"(budget {format_int(NODE_BUDGET)}); pass force=True to run anyway")
 
     threshold = k + 1
+    # a gain queues a vertex only at k+1 chips, unless the key is the count
+    count_keyed = strategy == "max-chips"
+    top = N if count_keyed else threshold  # no vertex ever holds more than N
     last = size // k  # repunit(n - 1): the first vertex of layer n
     chips = [0] * size
     fires = [0] * size
@@ -158,7 +164,9 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     while heap:
         _, count, v = heappop(heap)
         if chips[v] != count:
-            continue  # stale: v has gained or fired since this entry
+            if count_keyed:
+                continue  # stale: v has gained or fired since this entry
+            count = chips[v]
         if v >= last:
             raise EngineError(
                 f"vertex {format_int(v)} on layer {format_int(n)} would fire "
@@ -168,7 +176,7 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
             parent = (v - 1) // k
             pv = chips[parent] + 1
             chips[parent] = pv
-            if pv >= threshold:
+            if threshold <= pv <= top:
                 heappush(heap, (key(parent, pv), pv, parent))
         else:
             count -= k  # one of the k+1 spent chips returns via the self-loop
@@ -177,7 +185,7 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
         for child in range(first, first + k):
             cv = chips[child] + 1
             chips[child] = cv
-            if cv >= threshold:
+            if threshold <= cv <= top:
                 heappush(heap, (key(child, cv), cv, child))
         fires[v] += 1
         steps += 1
@@ -212,23 +220,79 @@ def _collect(N: int, k: int, n: int, chips: list[int],
     return stable, by_layer
 
 
+def _odometer_floor(N: int, k: int, n: int) -> list[int]:
+    """u0 = max(0, floor(x)) for the x with L.x = N.e0 - k.1, per layer.
+
+    L is the layer matrix of `simulate_layers`.  Summing rows 0..i of L.x,
+    row j weighted by the k^j vertices of its layer, telescopes to
+    k^(i+1).(x_i - x_(i+1)), and the same sum of N.e0 - k.1 is
+    N - k.repunit(i+1) = N + 1 - repunit(i+2): the chips that cross the cut
+    below layer i+1 when every vertex of layers 1..i+1 keeps k.  With x_n = 0,
+    k^n.x_i = sum over j = i..n-1 of (N + 1 - repunit(j+2)).k^(n-1-j).
+    """
+    denom = k**n
+    u0 = [0] * n
+    scaled = 0
+    power = 1  # k^(n-1-i)
+    cut = (denom * k - 1) // (k - 1)  # repunit(i+2), from repunit(n+1)
+    for i in reversed(range(n)):
+        scaled += (N + 1 - cut) * power
+        u0[i] = max(0, scaled // denom)
+        cut //= k
+        power *= k
+    return u0
+
+
 def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
     """Stabilize using one representative vertex per layer.
 
     Valid because the parallel strategy keeps every vertex on a layer
     identical, and global confluence makes the outcome order-independent;
     by the same property the result matches `simulate` exactly.  Eligible
-    layers are fired in batches (a batch of t counts as t parallel steps),
-    so the run time is polynomial in the depth rather than in N.
+    layers are fired in batches (a batch of t counts as t parallel steps).
+    The run starts from u0 = `_odometer_floor` fires per layer, not from
+    none, which leaves about 0.26 n^2 batches in n sweeps on 50- to
+    200-digit piles, against 1.2 n^2 (k = 10) to 3.8 n^2 (k = 2) batches in
+    2n to 6n sweeps from zero.
+
+    After u fires per layer, layer i (the root is i = 0) holds
+    (N.e0 - L.u)_i chips per vertex, where row 0 of L is k.u_0 - k.u_1 and
+    row i > 0 is -u_(i-1) + (k+1).u_i - k.u_(i+1), with u_n = 0 below the
+    last layer.  L has nonpositive entries off the diagonal, row sums >= 0
+    (the last one positive) and a connected chain of rows, so it is a
+    nonsingular M-matrix and L^-1 >= 0.  Let u* be the fires per layer at
+    which the unseeded run stops, the odometer (let layer n fire into a sink
+    below it if it must), and s = N.e0 - L.u* <= k.1 its stable chips.
+
+    u0 <= u*: every s_i <= k, so u* = L^-1(N.e0 - s) >= L^-1(N.e0 - k.1) = x;
+    u* is an integer vector >= 0, so u* >= max(0, floor(x)) = u0.
+
+    Legal batches from N.e0 - L.u0 stop exactly at u*, even if u0 leaves a
+    layer negative (it waits until it holds k+1).  A batch of t fires is
+    t single fires, each made while its layer holds k+1 or more.  Let v <= u*
+    be the fires so far and layer i fire once more.  Had v_i = u*_i, then
+    (N.e0 - L.v)_i = s_i + (L.(u* - v))_i <= s_i <= k, since row i meets
+    u* - v >= 0 only off the diagonal: no fire.  So v_i < u*_i and v <= u*
+    throughout.  Each fire raises v, so the loop stops, at some v with every
+    layer at k or fewer chips.  The same argument with v in place of u*
+    keeps the run from 0 below v, so u* <= v, and v = u*.  Layer n is
+    never seeded: x_(n-1) = (N + 1 - repunit(n+1)) / k^n <= 0.  So the
+    seeded run fires layer n, and raises, exactly when the unseeded one does.
+
+    The budget still bounds `steps`: it starts at sum(u0) and counts every
+    later fire, so it never passes sum(u*) <= sum(k^i.u*_i), the total fires,
+    which `_budget` bounds by N(n-1)/(k-1).
     """
     n, budget = _budget(N, k)
     threshold = k + 1
-    chips = [0] * n
-    fires = [0] * n
+    fires = _odometer_floor(N, k, n)
+    # the root is its own parent through the self-loop; nothing fires below layer n
+    u = fires[:1] + fires + [0]
+    chips = [u[i] - threshold * u[i + 1] + k * u[i + 2] for i in range(n)]
     if N:
-        chips[0] = N
+        chips[0] += N
 
-    steps = 0
+    steps = sum(fires)
     while True:
         progressed = False
         for i in range(n):

@@ -326,6 +326,17 @@ def test_module_runs_as_script(module):
     assert cli_run("stable", "-N", "0", "-k", "3").returncode == 2
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # `chipfire verify -k 2..10^20 -N 3 | head -1`: the reader leaves after one line
+    with subprocess.Popen([sys.executable, "-m", "chipfire", "verify",
+                           "-k", "2..100000000000000000000", "-N", "3"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "k=2: formulas match engine for N=1..3\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ""
+
+
 def test_golden_cli_transcript(monkeypatch):
     # each argv runs through the recorder that wrote the file
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal

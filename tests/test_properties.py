@@ -6,9 +6,12 @@ draws the same cases and nothing is written into the checkout.
 
 import io
 import json
+import math
 import random
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
+from functools import lru_cache
 from itertools import dropwhile
 from pathlib import Path
 
@@ -17,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from chipfire.engine import STRATEGIES, simulate, simulate_layers
+from chipfire.engine import STRATEGIES, _odometer_floor, simulate, simulate_layers
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
-from chipfire.numerics import format_int, parse_int, stable_config, to_base
+from chipfire.numerics import format_int, height_index, parse_int, stable_config, to_base
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
 from chipfire.sequences import (SequenceId, SequenceWindow, emit_bfile, emit_csv,
                                 emit_json)
@@ -45,6 +48,85 @@ def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
     assert run == simulate(N, k)
     assert run == simulate_layers(N, k)
+
+
+@lru_cache(maxsize=None)
+def _unseeded_layers(N, k):
+    # the batch loop from zero fires that the least-action seed replaced,
+    # kept as the reference: (stable chips, fires) per layer
+    n = height_index(N, k) if N else 0
+    chips = [N] + [0] * (n - 1) if N else []
+    fires = [0] * n
+    progressed = True
+    while progressed:
+        progressed = False
+        for i, count in enumerate(chips):
+            if count <= k:
+                continue
+            assert i + 1 < n, "layer n fired"
+            if i == 0:
+                t = (count - k - 1) // k + 1
+                chips[0] = count - t * k
+            else:
+                t = (count - k - 1) // (k + 1) + 1
+                chips[i] = count - t * (k + 1)
+                chips[i - 1] += t * k
+            chips[i + 1] += t
+            fires[i] += t
+            progressed = True
+    return tuple(chips), tuple(fires)
+
+
+# one pile of each depth the benchmark runs, drawn from a fixed seed
+DEEP_PILES = [(random.Random(digits * k).randrange(10**(digits - 1), 10**digits), k)
+              for digits in (50, 100, 200) for k in (2, 3, 10)]
+deep_piles = pytest.mark.parametrize("N, k", DEEP_PILES,
+                                     ids=[f"d{len(str(N))}k{k}" for N, k in DEEP_PILES])
+
+
+def _assert_seeded_run_is_unseeded_run(N, k):
+    run = simulate_layers(N, k)
+    assert (run.stable_chips, run.fires_by_layer) == _unseeded_layers(N, k)
+
+
+@bounded(80)
+@given(N=st.integers(0, 10**40 - 1), k=st.integers(2, 64))
+def test_seeded_layer_engine_equals_the_unseeded_batch_loop(N, k):
+    _assert_seeded_run_is_unseeded_run(N, k)
+
+
+@deep_piles
+def test_seeded_layer_engine_equals_the_unseeded_batch_loop_on_deep_piles(N, k):
+    _assert_seeded_run_is_unseeded_run(N, k)
+
+
+def _assert_seed_is_a_close_lower_bound(N, k):
+    n = height_index(N, k)
+    u0 = _odometer_floor(N, k, n)
+    # x = L^-1 (N e0 - k 1) by shooting down from x_0, with B_i = k^i (x_i - x_0)
+    B = [0, k - N]
+    for i in range(1, n):
+        B.append((k + 1) * B[i] - k * B[i - 1] + k**(i + 1))
+    x = [Fraction(B[i] * k**(n - i) - B[n], k**n) for i in range(n)]
+    u = x[:1] + x + [0]  # the root is its own parent; x_n = 0
+    minus_Lx = [u[i] - (k + 1) * u[i + 1] + k * u[i + 2] for i in range(n)]
+    assert minus_Lx == [k - N] + [k] * (n - 1)
+    assert u0 == [max(0, math.floor(xi)) for xi in x]
+    gap = [f - s for f, s in zip(_unseeded_layers(N, k)[1], u0)]
+    assert min(gap) >= 0
+    # measured: at most 0.5625 n^2 (N = 67, k = 3) at n <= 12, 0.22-0.27 n^2 deep
+    assert sum(gap) <= n * n
+
+
+@bounded(80)
+@given(N=st.integers(1, 10**40 - 1), k=st.integers(2, 64))
+def test_least_action_seed_is_a_close_lower_bound(N, k):
+    _assert_seed_is_a_close_lower_bound(N, k)
+
+
+@deep_piles
+def test_least_action_seed_is_a_close_lower_bound_on_deep_piles(N, k):
+    _assert_seed_is_a_close_lower_bound(N, k)
 
 
 @bounded(300)
