@@ -9,6 +9,7 @@ parsed, and every integer printed, by `numerics.parse_int` and
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -199,6 +200,7 @@ def cmd_schizo(args) -> int:
     return 0
 
 
+@functools.cache  # argparse makes a HelpFormatter per add_argument
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chipfire",

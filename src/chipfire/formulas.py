@@ -224,8 +224,10 @@ def b_closed(n: int, k: int) -> int:
 def b_recursive(n: int, k: int) -> int:
     """b(n,k) by the recursion b(n,k) = n*k^(n-1) + b(n-1,k) with b(1,k) = 1."""
     b = 1
+    p = 1  # k^(j-1), kept as a running power
     for j in range(2, n + 1):
-        b = j * k ** (j - 1) + b
+        p *= k
+        b = j * p + b
     return b
 
 

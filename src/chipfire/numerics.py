@@ -105,28 +105,37 @@ def repunit(n: int, k: int) -> int:
     """1 + k + ... + k^(n-1), i.e. n ones in base k.  repunit(0, k) == 0."""
     _require_at_least("n", n, 0)
     _require_k(k)
-    r = 0
-    for _ in range(n):
-        r = r * k + 1
-    return r
+    return (k**n - 1) // (k - 1)
 
 
 def height_index(N: int, k: int) -> int:
     """The unique n with repunit(n, k) <= N < repunit(n+1, k).
 
-    Computed by exact comparison against successive repunits; the boundary
+    Equivalently k^n <= X < k^(n+1) for X = (k-1)N + 1.  With bits =
+    X.bit_length() and b = k.bit_length(), 2^(b-1) <= k < 2^b brackets n
+    exactly: k^lo < 2^(b*lo) <= X for lo = (bits-1) // b, and k^hi >=
+    2^((b-1)*hi) > X for hi = ceil(bits / (b-1)).  Bisection between them
+    compares exact powers, O(log n) big-integer steps; a power of two k needs
+    none, because then k^n <= X exactly when (b-1)n < bits.  The boundary
     N == repunit(n, k) is where all downstream formulas switch, so no
     logarithm approximation is acceptable.
     """
     _require_k(k)
     if N < 1:
         raise ValueError(f"height index is undefined for N = {format_int(N)}; need N >= 1")
-    n = 1
-    nxt = k + 1  # repunit(2, k)
-    while nxt <= N:
-        n += 1
-        nxt = nxt * k + 1
-    return n
+    x = (k - 1) * N + 1
+    bits = x.bit_length()
+    b = k.bit_length()
+    if k & (k - 1) == 0:  # k = 2^(b-1)
+        return (bits - 1) // (b - 1)
+    lo, hi = (bits - 1) // b, -(-bits // (b - 1))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if k**mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @lru_cache(maxsize=64)

@@ -69,16 +69,53 @@ def _require_name(name: str) -> None:
                          f"available: {', '.join(SEQUENCE_NAMES)}")
 
 
+# id -> (first difference of the block sequence, whether indices are piles).
+# The values of these ids are running sums of that difference.  A block id
+# adds it at every index m; a pile id steps by k, adding it only at N = mk,
+# because the fire counts are constant on each block of k pile sizes.
+_STREAMS: dict[str, tuple[Callable[[int, int], int], bool]] = {
+    "g0": (formulas.d0, False),
+    "G": (formulas.D_diff, False),
+    "f0_raw": (formulas.d0, True),
+    "F_raw": (formulas.D_diff, True),
+}
+
+
 def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
-    """Window of `count` exact values of the sequence, indices start..start+count-1."""
-    _require_name(id.name)
-    _require_k(id.k)
+    """Window of `count` exact values of the sequence, indices start..start+count-1.
+
+    The running-sum ids (g0, G, f0_raw, F_raw) are streamed: the closed form
+    gives the first value, and each next one adds d0 or D, which `crosscheck`
+    computes by every route.  The last value must equal the closed form at
+    the window's end, so each increment is checked by two or three routes
+    and both ends by the closed form.  The other ids take the closed form at
+    every index.
+    """
+    name, k = id.name, id.k
+    _require_name(name)
+    _require_k(k)
     _require_at_least("count", count, 1)
     if start < 1:
         raise ValueError(f"sequences are 1-indexed; got start {format_int(start)}")
-    fn = _GENERATORS[id.name][0]
-    values = tuple(fn(i, id.k) for i in range(start, start + count))
-    return SequenceWindow(id=id, start=start, values=values)
+    fn = _GENERATORS[name][0]
+    if name not in _STREAMS:
+        values = tuple(fn(i, k) for i in range(start, start + count))
+        return SequenceWindow(id=id, start=start, values=values)
+    diff, piles = _STREAMS[name]
+    step = k if piles else 1
+    end = start + count - 1
+    value = fn(start, k)
+    out = [value]
+    for i in range(start, end):
+        if i % step == 0:
+            value += diff(i // step, k)
+        out.append(value)
+    closed = fn(end, k) if count > 1 else value
+    if value != closed:
+        raise AssertionError(f"{name} (k = {format_int(k)}): streamed term "
+                             f"{format_int(end)} is {format_int(value)}, closed form "
+                             f"{format_int(closed)}")
+    return SequenceWindow(id=id, start=start, values=tuple(out))
 
 
 def difference(window: SequenceWindow) -> SequenceWindow:

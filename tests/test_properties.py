@@ -20,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from chipfire import formulas
 from chipfire.engine import STRATEGIES, _odometer_floor, simulate, simulate_layers
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
-from chipfire.numerics import format_int, height_index, parse_int, stable_config, to_base
+from chipfire.numerics import (format_int, height_index, parse_int, repunit,
+                               stable_config, to_base)
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
-from chipfire.sequences import (SequenceId, SequenceWindow, emit_bfile, emit_csv,
-                                emit_json)
+from chipfire.sequences import (SequenceId, SequenceWindow, difference, emit_bfile,
+                                emit_csv, emit_json, generate)
 from golden.make_cli_transcript import run
 
 
@@ -159,6 +161,106 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
     if i < n - 1:
         delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
         assert fires_difference(N, k, i) == delta
+
+
+def _repunit_by_loop(n, k):
+    # the O(n) loops that the closed-form repunit and the bisected height
+    # index replaced, kept as the reference
+    r = 0
+    for _ in range(n):
+        r = r * k + 1
+    return r
+
+
+def _height_index_by_loop(N, k):
+    n, nxt = 1, k + 1
+    while nxt <= N:
+        n, nxt = n + 1, nxt * k + 1
+    return n
+
+
+WIDE_K = st.integers(2, 64) | st.integers(2, 10**40) | st.integers(1, 133).map(lambda e: 2**e)
+
+
+@bounded(300)
+@given(N=st.integers(1, 10**300 - 1), k=WIDE_K)
+def test_height_index_equals_the_repunit_loop(N, k):
+    assert height_index(N, k) == _height_index_by_loop(N, k)
+
+
+@bounded(200)
+@given(n=st.integers(0, 400), k=WIDE_K)
+def test_height_index_switches_exactly_at_each_repunit(n, k):
+    r = _repunit_by_loop(n, k)
+    assert repunit(n, k) == r
+    for N in (r - 1, r, r + 1):
+        if N >= 1:
+            assert height_index(N, k) == _height_index_by_loop(N, k)
+
+
+@bounded(12)
+@given(digits=st.integers(4_290, 4_310) | st.integers(9_990, 10_010),
+       k=st.integers(2, 64) | st.integers(10**40 - 64, 10**40), seed=st.integers(0, 2**64))
+def test_height_index_past_the_digit_limit(digits, k, seed):
+    N = random.Random(seed).randrange(10**(digits - 1), 10**digits)
+    n = _height_index_by_loop(N, k)
+    assert height_index(N, k) == n
+    r = _repunit_by_loop(n, k)
+    assert repunit(n, k) == r
+    assert [height_index(x, k) for x in (r - 1, r, r + 1)] == [n - 1, n, n]
+
+
+# the per-term closed forms that the streamed windows replaced, the reference
+PER_TERM = {
+    "g0": lambda m, k: root_fires(m * k, k),
+    "G": lambda m, k: total_fires(m * k, k),
+    "f0_raw": root_fires,
+    "F_raw": total_fires,
+}
+
+
+@st.composite
+def streamed_windows(draw):
+    name = draw(st.sampled_from(sorted(PER_TERM)))
+    k = draw(st.integers(2, 64) | st.integers(10**30 - 64, 10**30 + 64))
+    if draw(st.booleans()):
+        start = draw(st.integers(1, 10**40 - 1))
+    else:  # straddle a repunit, where d0 and D take their peaks
+        start = repunit(draw(st.integers(1, _height_index_by_loop(10**40, k))), k) - 2
+    if name.endswith("_raw"):  # indices are piles; a block starts at 1 (mod k)
+        start += draw(st.sampled_from((0, 1))) - start % k
+    return name, k, max(start, 1), draw(st.integers(1, 300))
+
+
+@bounded(150)
+@given(window=streamed_windows(), diff=st.booleans())
+def test_streamed_windows_equal_the_per_term_closed_forms(window, diff):
+    name, k, start, count = window
+    got = generate(SequenceId(name, k), start=start, count=count)
+    want = tuple(PER_TERM[name](i, k) for i in range(start, start + count))
+    assert got.values == want
+    if diff and count > 1:
+        assert difference(got).values == tuple(b - a for a, b in zip(want, want[1:]))
+
+
+@pytest.mark.parametrize("name,quantity", [("g0", "d0"), ("f0_raw", "d0"),
+                                           ("G", "D"), ("F_raw", "D")])
+@pytest.mark.parametrize("start", [5, 10**4400], ids=["small", "past-digit-limit"])
+def test_streamed_window_end_catches_routes_that_agree_on_a_wrong_value(
+        monkeypatch, name, quantity, start):
+    route = formulas.ROUTES[quantity][0]
+
+    def off_by_one(m, k):
+        return route(m, k) + 1
+
+    # both routes agree, so crosscheck passes every increment; the sum drifts
+    monkeypatch.setitem(formulas.ROUTES, quantity, (off_by_one, off_by_one))
+    end = start + 5
+    with pytest.raises(AssertionError) as exc:
+        generate(SequenceId(name, 3), start=start, count=6)
+    message = str(exc.value)
+    assert message.startswith(f"{name} (k = 3): streamed term {format_int(end)} is ")
+    assert message.endswith(f", closed form {format_int(PER_TERM[name](end, 3))}")
 
 
 def _digits_one_at_a_time(x, k, width):
