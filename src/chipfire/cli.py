@@ -3,12 +3,14 @@
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
 parsed, and every integer printed, by `numerics.parse_int` and
 `numerics.format_int`, so no integer is too long.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error, 141 standard output closed early.
+1 routes, or the engine and a formula, disagreed, in any subcommand (one
+`FAIL:` line, no traceback), 2 usage error, 141 standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -100,37 +102,27 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _verify_cell(N: int, k: int) -> str | None:
-    """Compare every formula against the layer engine for one (N, k).
-
-    Returns None when everything matches, else a description of the first
-    mismatch.
-    """
+def _verify_cell(N: int, k: int) -> None:
+    """Hold the layer engine to every formula for one (N, k)."""
     sim = engine.simulate_layers(N, k)
-    checks = [("stable config", sim.stable_chips, numerics.stable_config(N, k).c),
-              ("vertex fires", sim.fires_by_layer, formulas.fire_profile(N, k).f)]
-    for quantity, got in (("root_fires", sim.root_fires),
-                          ("total_fires", sim.total_fires)):
-        checks += [(f"{quantity} by {route.__name__}", got, route(N, k))
-                   for route in formulas.ROUTES[quantity]]
-    for label, got, expect in checks:
-        if got != expect:
-            return f"{label} mismatch at N={N}, k={k}: engine {got}, formula {expect}"
-    return None
+    formula = {"stable_chips": [("stable_config", numerics.stable_config(N, k).c)],
+               "fires_by_layer": [("fire_profile", formulas.fire_profile(N, k).f)]}
+    for quantity in ("root_fires", "total_fires"):
+        formula[quantity] = [(r.__name__, r(N, k)) for r in formulas.ROUTES[quantity]]
+    for quantity, routes in formula.items():
+        formulas._agree(quantity, (N, k), [("engine", getattr(sim, quantity))] + routes)
 
 
 def _verify_confluence(N: int, k: int, strategies: list[str], seeds: int,
-                       force: bool) -> str | None:
-    results = [engine.simulate(N, k, strategy=strategy, seed=seed, force=force)
-               for strategy in strategies for seed in range(seeds)]
-    first = results[0]
-    for r in results[1:]:
-        if r != first:
-            return f"confluence mismatch at N={N}, k={k}: {first} vs {r}"
-    layer = engine.simulate_layers(N, k)
-    if first != layer:
-        return f"node/layer mismatch at N={N}, k={k}: {first} vs {layer}"
-    return None
+                       force: bool) -> None:
+    """Hold every node-level run and the layer engine to one result."""
+    runs = [(f"{strategy} seed {format_int(seed)}",
+             engine.simulate(N, k, strategy=strategy, seed=seed, force=force))
+            for strategy in strategies for seed in range(seeds)]
+    runs.append(("simulate_layers", engine.simulate_layers(N, k)))
+    for field in dataclasses.fields(engine.SimResult):
+        formulas._agree(field.name, (N, k),
+                        [(label, getattr(r, field.name)) for label, r in runs])
 
 
 def cmd_verify(args) -> int:
@@ -150,19 +142,12 @@ def cmd_verify(args) -> int:
 
     for k in ks:
         for N in range(1, args.N + 1):
-            mismatch = _verify_cell(N, k)
-            if mismatch:
-                print(f"FAIL: {mismatch}")
-                return 1
+            _verify_cell(N, k)
         print(f"k={format_int(k)}: formulas match engine for "
               f"N=1..{format_int(args.N)}")
         if strategies:
             for N in range(1, node_max + 1):
-                mismatch = _verify_confluence(N, k, strategies, args.seeds,
-                                              args.force)
-                if mismatch:
-                    print(f"FAIL: {mismatch}")
-                    return 1
+                _verify_confluence(N, k, strategies, args.seeds, args.force)
             print(f"k={format_int(k)}: confluent over "
                   f"{format_int(len(strategies))} strategies x "
                   f"{format_int(args.seeds)} seeds for N=1..{format_int(node_max)}")
@@ -269,7 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except (AssertionError, engine.EngineError) as exc:
+            print(f"FAIL: {exc}")
+            code = 1
         sys.stdout.flush()
         return code
     except (ValueError, ArithmeticError) as exc:

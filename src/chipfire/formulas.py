@@ -2,9 +2,10 @@
 
 Each quantity is implemented at least twice (closed form, recursion, and for
 the difference sequences a digit-replacement construction as well).  Routes
-are listed once, in `ROUTES`, and compared by `crosscheck`: `a_seq`, `b_seq`,
-`d0` and `D_diff` are one call to it each.  A route calls only its own family,
-and the engine that the tests check everything against imports nothing here.
+are listed once, in `ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0` and
+`D_diff` are one call to it each) and compared by `_agree`, the package's one
+comparison of routes.  A route calls only its own family, and the engine that
+the tests check everything against imports nothing here.
 
 The fire counts are written over the stable digits c_0..c_(n-1) of N and each
 is one pass over them, O(n) big-integer steps.  The fires per vertex come from
@@ -351,10 +352,21 @@ ROUTES = {
 
 def crosscheck(quantity: str, *args: int) -> int:
     """Run each route of `quantity` once; return their value or raise naming each."""
-    routes = ROUTES[quantity]
-    values = [route(*args) for route in routes]
-    if values.count(values[0]) != len(values):
-        detail = ", ".join(f"{r.__name__} {format_int(v)}" for r, v in zip(routes, values))
-        raise AssertionError(f"{quantity}({', '.join(map(format_int, args))}): "
-                             f"routes disagree: {detail}")
-    return values[0]
+    return _agree(quantity, args, [(r.__name__, r(*args)) for r in ROUTES[quantity]])
+
+
+def _agree(quantity: str, args: tuple[int, ...], labelled: list[tuple[str, object]]):
+    """The value of every (name, value) pair, ints or int tuples, or raise naming each."""
+    first = labelled[0][1]
+    for _, value in labelled:
+        if value != first:
+            detail = ", ".join(f"{label} {_text(v)}" for label, v in labelled)
+            raise AssertionError(f"{quantity}({', '.join(map(format_int, args))}): "
+                                 f"routes disagree: {detail}")
+    return first
+
+
+def _text(value) -> str:
+    if isinstance(value, int):
+        return format_int(value)
+    return f"[{', '.join(map(format_int, value))}]"

@@ -86,10 +86,10 @@ def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
 
     The running-sum ids (g0, G, f0_raw, F_raw) are streamed: the closed form
     gives the first value, and each next one adds d0 or D, which `crosscheck`
-    computes by every route.  The last value must equal the closed form at
-    the window's end, so each increment is checked by two or three routes
-    and both ends by the closed form.  The other ids take the closed form at
-    every index.
+    computes by every route.  `formulas._agree`, the one comparison of routes,
+    holds the last value to the closed form at the window's end, so each
+    increment is checked by two or three routes and both ends by the closed
+    form.  The other ids take the closed form at every index.
     """
     name, k = id.name, id.k
     _require_name(name)
@@ -111,10 +111,7 @@ def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
             value += diff(i // step, k)
         out.append(value)
     closed = fn(end, k) if count > 1 else value
-    if value != closed:
-        raise AssertionError(f"{name} (k = {format_int(k)}): streamed term "
-                             f"{format_int(end)} is {format_int(value)}, closed form "
-                             f"{format_int(closed)}")
+    formulas._agree(name, (end, k), [("streamed", value), ("closed form", closed)])
     return SequenceWindow(id=id, start=start, values=tuple(out))
 
 

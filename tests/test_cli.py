@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chipfire
-from chipfire import cli, formulas, numerics, schizo
+from chipfire import cli, engine, formulas, numerics, schizo
 from chipfire.numerics import format_int, parse_int
 from golden.make_cli_transcript import record, run
 
@@ -127,7 +127,40 @@ def test_verify_reports_first_mismatch(monkeypatch):
     code, out, _ = run(["verify", "-k", "2..3", "-N", "60"])
     assert code == 1
     assert "FAIL" in out
-    assert "N=40, k=2" in out
+    assert "root_fires(40, 2)" in out
+
+
+def _off_by_one(route):
+    return lambda *args: route(*args) + 1
+
+
+def _break_odometer_floor(monkeypatch):
+    real = engine._odometer_floor
+    monkeypatch.setattr(engine, "_odometer_floor",
+                        lambda N, k, n: [u + 1 for u in real(N, k, n)])
+
+
+@pytest.mark.parametrize("argv,patch", [
+    (["seq", "g0", "-k", "3", "-n", "4"],  # both d0 routes agree on a wrong value
+     lambda mp: mp.setitem(formulas.ROUTES, "d0", (_off_by_one(formulas.d0_formula),) * 2)),
+    (["seq", "d0", "-k", "3", "-n", "4"],
+     lambda mp: mp.setitem(formulas.ROUTES, "d0", (formulas.d0_formula,
+                                                   _off_by_one(formulas.d0_recursive)))),
+    (["schizo", "-k", "10", "-n", "3", "-p", "5"],
+     lambda mp: mp.setitem(formulas.ROUTES, "a", (formulas.a_closed,
+                                                  _off_by_one(formulas.a_recursive)))),
+    (["verify", "-k", "2", "-N", "30"], _break_odometer_floor),  # an EngineError
+    (["verify", "-k", "2..3", "-N", "60"],
+     lambda mp: mp.setitem(formulas.ROUTES, "root_fires",
+                           (formulas.root_fires, _off_by_one(formulas.root_fires_rec)))),
+], ids=["seq-g0-window-end", "seq-d0-routes", "schizo-routes", "verify-engine",
+        "verify-routes"])
+def test_every_disagreement_ends_in_one_fail_line(monkeypatch, argv, patch):
+    patch(monkeypatch)
+    code, out, err = run(argv)
+    assert code == 1
+    assert sum(line.startswith("FAIL: ") for line in out.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_bad_ranges():

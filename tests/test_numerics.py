@@ -320,8 +320,8 @@ TEXT_PLACEHOLDERS = {
     ("cli.py", "text"),  # _decimal and _parse_k_range: the rejected argument
     ("engine.py", "strategy"),  # _priority: the rejected strategy name
     ("engine.py", "STRATEGIES"),  # _priority: the tuple of strategy names
-    ("formulas.py", "quantity"),  # crosscheck: a ROUTES key
-    ("formulas.py", "r.__name__"),  # crosscheck: a route's function name
+    ("formulas.py", "quantity"),  # _agree: a ROUTES key or a compared field
+    ("formulas.py", "label"),  # _agree: a route's label
     ("sequences.py", "name"),  # _require_name: the rejected sequence id
     ("sequences.py", "', '.join(SEQUENCE_NAMES)"),  # _require_name: the ids
 }

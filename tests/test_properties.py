@@ -259,7 +259,7 @@ def test_streamed_window_end_catches_routes_that_agree_on_a_wrong_value(
     with pytest.raises(AssertionError) as exc:
         generate(SequenceId(name, 3), start=start, count=6)
     message = str(exc.value)
-    assert message.startswith(f"{name} (k = 3): streamed term {format_int(end)} is ")
+    assert message.startswith(f"{name}({format_int(end)}, 3): routes disagree: streamed ")
     assert message.endswith(f", closed form {format_int(PER_TERM[name](end, 3))}")
 
 
