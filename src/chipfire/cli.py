@@ -227,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="",
                    help="comma-separated node-level strategies, or 'all'")
     p.add_argument("--seeds", type=_decimal, default=1,
-                   help="seeds per strategy for the random policy (default 1)")
+                   help="run each listed strategy once per seed 0..SEEDS-1; only "
+                        "random reads the seed (default 1)")
     p.add_argument("--node-N", type=_decimal, default=None,
                    help="cap pile size for node-level runs (default min(N, 300))")
     p.add_argument("--force", action="store_true",

@@ -22,11 +22,14 @@ Two engines are provided:
   range repunit(i)..repunit(i+1)-1.  One heap holds the eligible
   vertices, and the strategy only sets the key: v for "bfs" (heap
   numbering is (layer, offset) order), (-count, v) for "max-chips", and a
-  seeded random draw for "random", a random-priority order.  A vertex is
-  queued when its count reaches k+1 and again after a fire that leaves it
-  eligible; under "max-chips", whose key is the count, also on every
-  later gain, and an entry whose count is no longer the vertex's count is
-  dropped when popped.
+  seeded random draw for "random", a random-priority order.  A popped
+  vertex fires as many times in a row as it legally can, so it is left
+  with k or fewer chips and is not queued again by its own fires.  A
+  vertex is queued when a gain takes it from k or fewer chips to k+1 or
+  more; under "max-chips", whose key is the count, on every gain that
+  leaves it with k+1 or more, and an entry whose count is no longer the
+  vertex's count is dropped when popped.  So a strategy orders batches of
+  fires, one batch per pop.
 * `simulate_layers` exploits layer symmetry (every vertex on a layer carries
   the same count under the parallel strategy) and fires whole layers in
   batches.  It starts from a lower bound on the fires of each layer, so a
@@ -134,12 +137,26 @@ def _priority(strategy: str, seed: int):
 
 def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
              force: bool = False, check_each_step: bool = False) -> SimResult:
-    """Stabilize N chips dropped on the root, firing one vertex at a time.
+    """Stabilize N chips dropped on the root, one vertex's batch of fires at a time.
 
-    The firing order follows `strategy` ("bfs", "max-chips" or "random");
-    `seed` only matters for the random strategy, which draws one key each
-    time a vertex is queued.  Raises TreeSizeError when
-    the run would touch more than NODE_BUDGET nodes and force is not set.
+    The order of the batches follows `strategy` ("bfs", "max-chips" or
+    "random"); `seed` only matters for the random strategy, which draws one
+    key each time a vertex is queued.  Raises TreeSizeError when the run
+    would touch more than NODE_BUDGET nodes and force is not set.
+
+    A popped vertex holding c chips fires t times at once: t = c // (k+1)
+    off the root, and t = (c - k - 1) // k + 1 at the root, whose self-loop
+    hands back one of the k+1 chips of each fire.  These are t legal single
+    fires in a row: before the j-th of them the vertex holds
+    c - (j-1)(k+1) >= c - (t-1)(k+1) >= k+1 chips (c - (j-1)k >= k+1 at the
+    root), and after the last it holds k or fewer.  So every run is a legal
+    sequence of single fires that ends stable, and by the abelian property
+    of chip-firing (Bjorner, Lovasz and Shor, 1991) every such sequence
+    fires each vertex equally often and ends in the same configuration:
+    batching changes neither the fires nor the stable chips.  `steps`
+    counts the t single fires of a batch, so `_budget`'s bound holds as it
+    did for one fire per pop, and a layer-n vertex raises before its batch.
+    With `check_each_step`, conservation is checked after each batch.
     """
     n, budget = _budget(N, k)
     key = _priority(strategy, seed)
@@ -150,9 +167,8 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
             f"(budget {format_int(NODE_BUDGET)}); pass force=True to run anyway")
 
     threshold = k + 1
-    # a gain queues a vertex only at k+1 chips, unless the key is the count
+    # a gain queues a vertex only as it reaches k+1 chips, unless the key is the count
     count_keyed = strategy == "max-chips"
-    top = N if count_keyed else threshold  # no vertex ever holds more than N
     last = size // k  # repunit(n - 1): the first vertex of layer n
     chips = [0] * size
     fires = [0] * size
@@ -172,25 +188,24 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
                 f"vertex {format_int(v)} on layer {format_int(n)} would fire "
                 f"({_pile(N, k)}); chips would leave the truncated tree")
         if v:
-            count -= threshold
+            t = count // threshold
+            chips[v] = count - t * threshold
             parent = (v - 1) // k
-            pv = chips[parent] + 1
+            pv = chips[parent] + t
             chips[parent] = pv
-            if threshold <= pv <= top:
+            if pv >= threshold and (count_keyed or pv - t < threshold):
                 heappush(heap, (key(parent, pv), pv, parent))
         else:
-            count -= k  # one of the k+1 spent chips returns via the self-loop
-        chips[v] = count
+            t = (count - threshold) // k + 1  # the self-loop returns one chip a fire
+            chips[0] = count - t * k
         first = k * v + 1
         for child in range(first, first + k):
-            cv = chips[child] + 1
+            cv = chips[child] + t
             chips[child] = cv
-            if threshold <= cv <= top:
+            if cv >= threshold and (count_keyed or cv - t < threshold):
                 heappush(heap, (key(child, cv), cv, child))
-        fires[v] += 1
-        steps += 1
-        if count >= threshold:
-            heappush(heap, (key(v, count), count, v))
+        fires[v] += t
+        steps += t
         if steps > budget:
             raise EngineError(f"step budget {format_int(budget)} exceeded at "
                               f"{_pile(N, k)}")

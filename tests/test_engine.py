@@ -101,6 +101,32 @@ def test_node_matches_layers_and_stable_config():
         assert layer.stable_chips == stable_config(N, k).c
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_root_batches_of_one_to_three_fires(strategy):
+    # the root's first batch, (N - k - 1) // k + 1 fires, is 1 for N = k+1..2k, 2 for
+    # 2k+1..3k and 3 for 3k+1..3k+2; (N - k - 1) % k is 0 only at the first N of each
+    for k in range(2, 7):
+        for N in range(k + 1, 3 * k + 3):
+            assert simulate(N, k, strategy=strategy, seed=N) == simulate_layers(N, k), (N, k)
+
+
+def test_a_batch_of_t_fires_counts_t_steps(monkeypatch):
+    N, k = 200, 2
+    n, _ = engine._budget(N, k)
+    monkeypatch.setattr(engine, "_budget", lambda N, k: (n, total_fires(N, k) - 1))
+    with pytest.raises(engine.EngineError, match=r"step budget \d+ exceeded"):
+        simulate(N, k)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_truncated_tree_refuses_to_fire_its_last_layer(monkeypatch, strategy):
+    N, k = 200, 2
+    n = height_index(N, k)
+    monkeypatch.setattr(engine, "height_index", lambda N, k: n - 1)
+    with pytest.raises(engine.EngineError, match="would fire .* truncated tree"):
+        simulate(N, k, strategy=strategy)
+
+
 def test_last_layer_stays_silent():
     # a layer-n fire would raise; a clean pass certifies f_(n-1) == 0
     for k in (2, 3, 4):

@@ -12,6 +12,7 @@ import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import dropwhile
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from chipfire import formulas
-from chipfire.engine import STRATEGIES, _odometer_floor, simulate, simulate_layers
+from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, simulate,
+                             simulate_layers)
 from chipfire.formulas import (fire_profile, fires_difference, root_fires,
                                total_fires, vertex_fires)
 from chipfire.numerics import (format_int, height_index, parse_int, repunit,
@@ -50,6 +52,60 @@ def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
     assert run == simulate(N, k)
     assert run == simulate_layers(N, k)
+
+
+def _one_fire_per_pop(N, k, strategy, seed):
+    # the node loop that batch firing replaced, kept as the reference: each heap
+    # pop fires one vertex once; (stable chips, fires) per layer
+    n = height_index(N, k) if N else 0
+    key = _priority(strategy, seed)
+    size = repunit(n, k)
+    threshold = k + 1
+    count_keyed = strategy == "max-chips"
+    top = N if count_keyed else threshold  # no vertex ever holds more than N
+    chips = [0] * size
+    fires = [0] * size
+    if N:
+        chips[0] = N
+    heap = [(key(0, N), N, 0)] if N >= threshold else []
+    while heap:
+        _, count, v = heappop(heap)
+        if chips[v] != count:
+            if count_keyed:
+                continue  # stale: v has gained or fired since this entry
+            count = chips[v]
+        assert v < size // k, "layer n fired"
+        if v:
+            count -= threshold
+            parent = (v - 1) // k
+            pv = chips[parent] + 1
+            chips[parent] = pv
+            if threshold <= pv <= top:
+                heappush(heap, (key(parent, pv), pv, parent))
+        else:
+            count -= k
+        chips[v] = count
+        first = k * v + 1
+        for child in range(first, first + k):
+            cv = chips[child] + 1
+            chips[child] = cv
+            if threshold <= cv <= top:
+                heappush(heap, (key(child, cv), cv, child))
+        fires[v] += 1
+        if count >= threshold:
+            heappush(heap, (key(v, count), count, v))
+    starts = [repunit(i, k) for i in range(n + 1)]
+    for lo, hi in zip(starts, starts[1:]):
+        assert len(set(chips[lo:hi])) == len(set(fires[lo:hi])) == 1
+    return [chips[lo] for lo in starts[:-1]], [fires[lo] for lo in starts[:-1]]
+
+
+@bounded(100)
+@given(N=st.integers(0, 300), k=st.integers(2, 6),
+       strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
+def test_batch_firing_equals_one_fire_per_pop(N, k, strategy, seed):
+    assert simulate(N, k, strategy=strategy, seed=seed) == _result(
+        N, k, *_one_fire_per_pop(N, k, strategy, seed))
 
 
 @lru_cache(maxsize=None)
