@@ -16,7 +16,6 @@ from .formulas import (
     d0,
     divisibility_check,
     fire_profile,
-    fires_difference,
     root_fires,
     root_fires_rec,
     special_root_fires,
@@ -73,7 +72,6 @@ __all__ = [
     "divisibility_check",
     "emit_bfile",
     "fire_profile",
-    "fires_difference",
     "generate",
     "height_index",
     "inv_sqrt_digits",

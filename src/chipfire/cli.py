@@ -32,12 +32,14 @@ def _decimal(text: str) -> int:
 
 
 def _parse_k_range(text: str) -> range:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = numerics.parse_int(lo_s), numerics.parse_int(hi_s)
-    else:
-        lo = hi = numerics.parse_int(text)
-    if lo < 2 or hi < lo:
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = numerics.parse_int(lo_s)
+        hi = numerics.parse_int(hi_s) if dots else lo
+        ok = 2 <= lo <= hi
+    except ValueError:
+        ok = False
+    if not ok:
         raise ValueError(f"bad k range {text!r}; need 2 <= lo <= hi")
     return range(lo, hi + 1)
 

@@ -82,7 +82,10 @@ class SimResult:
 
     @property
     def steps(self) -> int:
-        """Single-vertex fires of the run: `total_fires` under another name."""
+        """Single-vertex fires of the run: `total_fires` under another name.
+
+        The benchmark's tracer (`perfbench/tracing.py`) reads it.
+        """
         return self.total_fires
 
 

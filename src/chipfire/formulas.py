@@ -11,11 +11,12 @@ The fire counts are written over the stable digits c_0..c_(n-1) of N and each
 is one pass over them, O(n) big-integer steps.  The fires per vertex come from
 the difference recurrences
 
-    delta_(n-1) = 0,  delta_i = c_(i+1) + k * delta_(i+1)   (fires_difference)
-    f_(n-1) = 0,      f_i = f_(i+1) + delta_i              (vertex_fires)
+    delta_(n-1) = 0,  delta_i = c_(i+1) + k * delta_(i+1)
+    f_(n-1) = 0,      f_i = f_(i+1) + delta_i
 
 which unroll to f_i = sum over j of repunit(j) * c_(i+j); root and total fires
-are closed forms summed with a running power of k.
+are closed forms summed with a running power of k.  `stable_config` keeps the
+last pile's configuration, so the closed forms of one pile share its digits.
 
 Conventions: N is the initial pile at the root, k >= 2 the branching factor,
 n = height_index(N, k), and layer indices i run 0..n-1 with layer index i
@@ -52,8 +53,8 @@ def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
     return f
 
 
-def _check_layer(i: int, n: int, upper_slack: int = 1) -> None:
-    if not 0 <= i <= n - upper_slack:
+def _check_layer(i: int, n: int) -> None:
+    if not 0 <= i < n:
         raise ValueError(f"layer index {format_int(i)} out of range for height "
                          f"index {format_int(n)}")
 
@@ -66,21 +67,6 @@ def vertex_fires(N: int, k: int, i: int) -> int:
     cfg = stable_config(N, k)
     _check_layer(i, cfg.n)
     return _fires_by_layer(cfg.c, k)[i]
-
-
-def fires_difference(N: int, k: int, i: int) -> int:
-    """vertex_fires(N,k,i) - vertex_fires(N,k,i+1), from the chip counts alone.
-
-    Equals the chips held by the descendants of one layer-(i+1) vertex in the
-    stable configuration, divided by k: sum of k^(j-i-1) * c_j over j > i,
-    a Horner sum (delta_i = c_(i+1) + k * delta_(i+1)) in O(n) steps.
-    """
-    cfg = stable_config(N, k)
-    _check_layer(i, cfg.n, upper_slack=2)
-    delta = 0
-    for c in reversed(cfg.c[i + 1:]):
-        delta = delta * k + c
-    return delta
 
 
 def vertex_fires_via_root(N: int, k: int, i: int) -> int:

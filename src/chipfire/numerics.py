@@ -72,9 +72,6 @@ class DigitString:
             return "".join(_DIGIT_CHARS[d] for d in self.digits)
         return ".".join(map(format_int, self.digits))
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
 
 @dataclass(frozen=True)
 class StableConfig:
@@ -96,9 +93,6 @@ class StableConfig:
             if not 1 <= ci <= self.k:
                 raise ValueError(f"per-vertex count {format_int(ci)} outside "
                                  f"1..{format_int(self.k)}")
-
-    def total_chips(self) -> int:
-        return sum(ci * self.k**i for i, ci in enumerate(self.c))
 
 
 def repunit(n: int, k: int) -> int:
@@ -234,11 +228,13 @@ def nu(x: int, k: int) -> int:
     return e
 
 
+@lru_cache(maxsize=1)
 def stable_config(N: int, k: int) -> StableConfig:
     """Stable per-layer chip counts for a pile of N chips dropped on the root.
 
     Layer i+1 carries one more chip per vertex than digit i of N - repunit(n, k)
-    in base k, where n is the height index of N.
+    in base k, where n is the height index of N.  The last result is kept, so
+    the closed forms asked about one pile share one frozen configuration.
     """
     n = height_index(N, k)
     a = to_base(N - repunit(n, k), k, n)

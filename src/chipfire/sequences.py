@@ -17,21 +17,22 @@ from typing import Callable, TextIO
 from . import formulas
 from .numerics import _require_at_least, _require_k, format_int
 
-_GENERATORS: dict[str, tuple[Callable[[int, int], int], str]] = {
-    "g0": (lambda m, k: formulas.root_fires(m * k, k),
-           "root fires per block: g0(m,k) = f0(mk,k)"),
-    "G": (lambda m, k: formulas.total_fires(m * k, k),
-          "total fires per block: G(m,k) = F(mk,k)"),
-    "d0": (formulas.d0, "first difference of g0"),
-    "D": (formulas.D_diff, "first difference of G"),
-    "f0_special": (formulas.special_root_fires,
-                   "root fires at the all-ones pile repunit(n,k)"),
-    "F_special": (formulas.special_total_fires,
-                  "total fires at the all-ones pile repunit(n,k)"),
-    "a": (formulas.a_seq, "distinct values of D: a(n,k) = k*a(n-1,k) + n"),
-    "b": (formulas.b_seq, "increments of F_special: b(n,k) = n*k^(n-1) + b(n-1,k)"),
-    "f0_raw": (formulas.root_fires, "root fires by pile size N"),
-    "F_raw": (formulas.total_fires, "total fires by pile size N"),
+# id -> (closed form, first difference, whether indices are piles).  The ids
+# with a first difference are running sums of it: a block id adds it at every
+# index m; a pile id steps by k, adding it only at N = mk, because the fire
+# counts are constant on each block of k pile sizes.
+_GENERATORS: dict[str, tuple[Callable[[int, int], int],
+                             Callable[[int, int], int] | None, bool]] = {
+    "g0": (lambda m, k: formulas.root_fires(m * k, k), formulas.d0, False),
+    "G": (lambda m, k: formulas.total_fires(m * k, k), formulas.D_diff, False),
+    "d0": (formulas.d0, None, False),
+    "D": (formulas.D_diff, None, False),
+    "f0_special": (formulas.special_root_fires, None, False),
+    "F_special": (formulas.special_total_fires, None, False),
+    "a": (formulas.a_seq, None, False),
+    "b": (formulas.b_seq, None, False),
+    "f0_raw": (formulas.root_fires, formulas.d0, True),
+    "F_raw": (formulas.total_fires, formulas.D_diff, True),
 }
 
 SEQUENCE_NAMES = tuple(_GENERATORS)
@@ -58,27 +59,10 @@ class Fixture:
     source: str
 
 
-def describe(name: str) -> str:
-    _require_name(name)
-    return _GENERATORS[name][1]
-
-
 def _require_name(name: str) -> None:
     if name not in _GENERATORS:
         raise ValueError(f"unknown sequence id {name!r}; "
                          f"available: {', '.join(SEQUENCE_NAMES)}")
-
-
-# id -> (first difference of the block sequence, whether indices are piles).
-# The values of these ids are running sums of that difference.  A block id
-# adds it at every index m; a pile id steps by k, adding it only at N = mk,
-# because the fire counts are constant on each block of k pile sizes.
-_STREAMS: dict[str, tuple[Callable[[int, int], int], bool]] = {
-    "g0": (formulas.d0, False),
-    "G": (formulas.D_diff, False),
-    "f0_raw": (formulas.d0, True),
-    "F_raw": (formulas.D_diff, True),
-}
 
 
 def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
@@ -97,11 +81,10 @@ def generate(id: SequenceId, start: int = 1, count: int = 10) -> SequenceWindow:
     _require_at_least("count", count, 1)
     if start < 1:
         raise ValueError(f"sequences are 1-indexed; got start {format_int(start)}")
-    fn = _GENERATORS[name][0]
-    if name not in _STREAMS:
+    fn, diff, piles = _GENERATORS[name]
+    if diff is None:
         values = tuple(fn(i, k) for i in range(start, start + count))
         return SequenceWindow(id=id, start=start, values=values)
-    diff, piles = _STREAMS[name]
     step = k if piles else 1
     end = start + count - 1
     value = fn(start, k)

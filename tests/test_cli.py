@@ -130,6 +130,23 @@ def test_verify_reports_first_mismatch(monkeypatch):
     assert "root_fires(40, 2)" in out
 
 
+def test_verify_cell_derives_one_stable_configuration(monkeypatch):
+    # the stable digits come from one to_base call; every closed form of the
+    # cell reads that configuration, not a conversion of its own
+    calls = []
+    real = numerics.to_base
+
+    def counted_to_base(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numerics, "to_base", counted_to_base)
+    for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
+        calls.clear()
+        cli._verify_cell(N, k)
+        assert len(calls) <= 1, (N, k, calls)
+
+
 def _off_by_one(route):
     return lambda *args: route(*args) + 1
 
@@ -168,6 +185,10 @@ def test_verify_rejects_bad_ranges():
     assert code == 2
     code, _, err = run(["verify", "-k", "1..3", "-N", "10"])
     assert code == 2
+    for bad in ("2..", "2..3..4"):  # a malformed range is named, not an int() error
+        code, out, err = run(["verify", "-k", bad, "-N", "3"])
+        assert code == 2 and not out, bad
+        assert err == f"error: bad k range '{bad}'; need 2 <= lo <= hi\n", bad
     code, _, err = run(["verify", "-k", "2", "-N", "10",
                         "--strategies", "sideways"])
     assert code == 2

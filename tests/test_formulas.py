@@ -13,7 +13,6 @@ from chipfire.formulas import (
     d0_recursive,
     divisibility_check,
     fire_profile,
-    fires_difference,
     root_fires,
     root_fires_rec,
     special_root_fires,
@@ -24,7 +23,7 @@ from chipfire.formulas import (
     vertex_fires,
     vertex_fires_via_root,
 )
-from chipfire.numerics import height_index, repunit
+from chipfire.numerics import height_index, repunit, stable_config
 
 
 def test_vertex_fires_examples():
@@ -44,13 +43,23 @@ def test_vertex_fires_rejects_bad_layer():
         vertex_fires(9, 3, -1)
 
 
+def _fires_difference(N, k, i):
+    # f_i - f_(i+1) by its definition: the chips below one layer-(i+1) vertex
+    # in the stable configuration, divided by k
+    c = stable_config(N, k).c
+    return sum(k ** (j - i - 1) * c[j] for j in range(i + 1, len(c)))
+
+
 def test_fires_difference_examples():
     for N, k in [(20, 2), (50, 3), (90, 4)]:
         n = height_index(N, k)
-        cfg_last = vertex_fires(N, k, n - 2) - vertex_fires(N, k, n - 1)
-        assert fires_difference(N, k, n - 2) == cfg_last
-    assert fires_difference(9, 3, 0) == 2  # f0 - f1 = 2 - 0
-    assert fires_difference(15, 2, 0) == 7  # 11 - 4 per the oracle
+        f = fire_profile(N, k).f
+        last = vertex_fires(N, k, n - 2) - vertex_fires(N, k, n - 1)
+        assert f[n - 2] - f[n - 1] == _fires_difference(N, k, n - 2) == last
+    f = fire_profile(9, 3).f
+    assert f[0] - f[1] == 2  # 2 - 0
+    f = fire_profile(15, 2).f
+    assert f[0] - f[1] == 7  # 11 - 4 per the oracle
 
 
 def test_fires_difference_matches_vertex_fires():
@@ -58,7 +67,7 @@ def test_fires_difference_matches_vertex_fires():
         for N in range(1, 400):
             n = height_index(N, k)
             for i in range(n - 1):
-                assert fires_difference(N, k, i) == (
+                assert _fires_difference(N, k, i) == (
                     vertex_fires(N, k, i) - vertex_fires(N, k, i + 1))
 
 
@@ -67,7 +76,7 @@ def test_telescoping_differences():
         for N in (19, 86, 121, 900):
             n = height_index(N, k)
             for i in range(n):
-                total = sum(fires_difference(N, k, t) for t in range(i, n - 1))
+                total = sum(_fires_difference(N, k, t) for t in range(i, n - 1))
                 assert vertex_fires(N, k, i) == total
 
 

@@ -125,7 +125,7 @@ def test_to_base_round_trip():
             for _ in range(30):
                 x = rng.randrange(k**width)
                 ds = to_base(x, k, width)
-                assert len(ds) == width
+                assert len(ds.digits) == width
                 assert ds.value() == x
     # and a couple of big ones
     for _ in range(20):
@@ -172,7 +172,7 @@ def test_stable_config_conserves_chips_and_bounds():
     for k in range(2, 7):
         for N in range(1, 2001):
             cfg = stable_config(N, k)
-            assert cfg.total_chips() == N
+            assert sum(c * k**i for i, c in enumerate(cfg.c)) == N
             assert all(1 <= c <= k for c in cfg.c)
             assert cfg.n == height_index(N, k)
 
@@ -235,8 +235,6 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"{BIG_TEXT} is not divisible by 2"),
     ("vertex_fires", lambda: formulas.vertex_fires(9, 3, BIG),
      f"layer index {BIG_TEXT} out of range for height index 2"),
-    ("fires_difference", lambda: formulas.fires_difference(9, 3, NEG),
-     f"layer index {NEG_TEXT} out of range for height index 2"),
     ("vertex_fires_via_root", lambda: formulas.vertex_fires_via_root(9, 3, BIG),
      f"layer index {BIG_TEXT} out of range for height index 2"),
     ("special_vertex_fires", lambda: formulas.special_vertex_fires(3, 2, BIG),

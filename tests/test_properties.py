@@ -24,8 +24,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from chipfire import formulas
 from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, simulate,
                              simulate_layers)
-from chipfire.formulas import (fire_profile, fires_difference, root_fires,
-                               total_fires, vertex_fires)
+from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
 from chipfire.numerics import (format_int, height_index, parse_int, repunit,
                                stable_config, to_base)
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
@@ -216,7 +215,7 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
     assert vertex_fires(N, k, i) == f[i]
     if i < n - 1:
         delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
-        assert fires_difference(N, k, i) == delta
+        assert profile.f[i] - profile.f[i + 1] == delta
 
 
 def _repunit_by_loop(n, k):

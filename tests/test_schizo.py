@@ -146,4 +146,4 @@ def test_survey_in_native_radix():
     entries = schizo_survey(3, 5, 30, min_run=3, radix=3)
     for e in entries:
         assert e.root.frac_part.radix == 3
-        assert len(e.root.frac_part) == 30
+        assert len(e.root.frac_part.digits) == 30

@@ -8,7 +8,6 @@ from chipfire.sequences import (
     SEQUENCE_NAMES,
     SequenceId,
     SequenceWindow,
-    describe,
     difference,
     emit_bfile,
     emit_csv,
@@ -117,13 +116,6 @@ def test_raw_sequences():
     assert raw.values == (11,)
     raw0 = generate(SequenceId("f0_raw", 2), start=16, count=1)
     assert raw0.values == (11,)
-
-
-def test_describe():
-    assert "g0" in SEQUENCE_NAMES
-    assert "root fires" in describe("g0")
-    with pytest.raises(ValueError):
-        describe("unknown")
 
 
 def test_emit_bfile_format():
