@@ -234,13 +234,13 @@ def b_seq(n: int, k: int) -> int:
 def d0_formula(m: int, k: int) -> int:
     """Root-fires difference via trailing-zero counting.
 
-    d0(m,k) is n when m == repunit(n,k) and nu_k((k-1)m + 1) + 1 otherwise.
+    With x = (k-1)m + 1 and e = nu_k(x), d0(m,k) is e + 1, except at the
+    repunits: m == repunit(n,k) exactly when x == k^n, and then d0 is n = e.
     """
     _require_at_least("m", m, 1)
-    n = height_index(m, k)
-    if m == repunit(n, k):
-        return n
-    return nu((k - 1) * m + 1, k) + 1
+    x = (k - 1) * m + 1
+    e = nu(x, k)
+    return e if x == k**e else e + 1
 
 
 def d0_recursive(m: int, k: int) -> int:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -143,8 +144,48 @@ def test_verify_cell_derives_one_stable_configuration(monkeypatch):
     monkeypatch.setattr(numerics, "to_base", counted_to_base)
     for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
         calls.clear()
-        cli._verify_cell(N, k)
+        cli._verify_cell(N, k, [], 1, False)
         assert len(calls) <= 1, (N, k, calls)
+
+
+def test_verify_runs_the_layer_engine_once_per_pile(monkeypatch):
+    piles = []
+    real = engine.simulate_layers
+
+    def counted_simulate_layers(N, k):
+        piles.append((N, k))
+        return real(N, k)
+
+    monkeypatch.setattr(engine, "simulate_layers", counted_simulate_layers)
+    for argv, top in ((["-N", "20", "--node-N", "12"], 20),  # node-level runs up to 12
+                      (["-N", "8", "--node-N", "15"], 15)):  # and past -N
+        piles.clear()
+        code, out, _ = run(["verify", "-k", "2..3", *argv, "--strategies", "bfs,random"])
+        assert code == 0, out
+        assert piles == [(N, k) for k in (2, 3) for N in range(1, top + 1)], argv
+
+
+def test_verify_fail_line_names_the_smallest_failing_pile(monkeypatch):
+    # a node-level run is wrong at N = 5 and a formula route at N = 9: the
+    # one FAIL line is about N = 5, whichever check found it
+    real_simulate = engine.simulate
+    real_root_fires = formulas.root_fires
+
+    def wrong_at_5(N, k, **kw):
+        result = real_simulate(N, k, **kw)
+        if N == 5:
+            return dataclasses.replace(result, total_fires=result.total_fires + 1)
+        return result
+
+    monkeypatch.setattr(engine, "simulate", wrong_at_5)
+    monkeypatch.setitem(formulas.ROUTES, "root_fires",
+                        (lambda N, k: real_root_fires(N, k) + (N == 9),
+                         formulas.root_fires_rec))
+    code, out, _ = run(["verify", "-k", "2", "-N", "12", "--strategies", "bfs"])
+    assert code == 1
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert fail == ("FAIL: total_fires(5, 2): routes disagree: simulate_layers 2, "
+                    "bfs seed 0 3, total_fires 2, total_fires_rec 2")
 
 
 def _off_by_one(route):

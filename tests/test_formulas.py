@@ -255,6 +255,15 @@ def test_d0_routes_agree():
     for k in (2, 3, 4, 5):
         for m in range(1, 2000):
             assert len({route(m, k) for route in ROUTES["d0"]}) == 1, (m, k)
+    # d0_formula switches at the repunits: m == repunit(n, k) exactly when
+    # (k-1)m + 1 is a power of k.  Below one the last digit is 0, above it 2
+    # (for k = 2, m is then 2^n and ends in 0), so both neighbours have d0 = 1.
+    for k in [*range(2, 65), 10**30 - 1, 10**30, 10**30 + 1]:
+        for n in range(1, 61):
+            r = repunit(n, k)
+            for m, want in ((r - 1, 1), (r, n), (r + 1, 1)):
+                if m >= 1:
+                    assert [route(m, k) for route in ROUTES["d0"]] == [want] * 2, (m, k)
 
 
 def test_d0_replacement_construction():

@@ -315,7 +315,8 @@ def test_crosscheck_names_values_past_the_digit_limit(monkeypatch):
 TEXT_PLACEHOLDERS = {
     ("numerics.py", "name"),  # _require_at_least: the parameter or option name
     ("numerics.py", "text"),  # parse_int: the rejected literal
-    ("cli.py", "text"),  # _decimal and _parse_k_range: the rejected argument
+    ("cli.py", "text"),  # _decimal, _parse_k_range, _check_value: the rejected argument
+    ("cli.py", "choice"),  # _Parser._check_value: a subcommand or format name
     ("engine.py", "strategy"),  # _priority: the rejected strategy name
     ("engine.py", "STRATEGIES"),  # _priority: the tuple of strategy names
     ("formulas.py", "quantity"),  # _agree: a ROUTES key or a compared field
