@@ -103,13 +103,9 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _verify_cell(N: int, k: int, strategies: list[str], seeds: int, force: bool) -> None:
-    """Hold the layer engine, each node-level run and every formula to one result."""
-    runs = [("simulate_layers", engine.simulate_layers(N, k))]
-    for strategy in strategies:
-        for seed in range(seeds):
-            runs.append((f"{strategy} seed {format_int(seed)}",
-                         engine.simulate(N, k, strategy=strategy, seed=seed, force=force)))
+def _verify_cell(N: int, k: int, runs: list) -> None:
+    """Hold every (label, run) of `runs` and every formula to one result."""
+    results = [(label, run(N, k)) for label, run in runs]
     formula = {"stable_chips": [("stable_config", numerics.stable_config(N, k).c)],
                "fires_by_layer": [("fire_profile", formulas.fire_profile(N, k).f)]}
     for quantity in ("root_fires", "total_fires"):
@@ -117,7 +113,7 @@ def _verify_cell(N: int, k: int, strategies: list[str], seeds: int, force: bool)
     # equal stable_chips mean equal n, and every run has the k it was given
     for quantity, routes in formula.items():
         formulas._agree(quantity, (N, k),
-                        [(label, getattr(r, quantity)) for label, r in runs] + routes)
+                        [(label, getattr(r, quantity)) for label, r in results] + routes)
 
 
 def cmd_verify(args) -> int:
@@ -127,20 +123,25 @@ def cmd_verify(args) -> int:
     if args.strategies == "all":
         strategies = list(engine.STRATEGIES)
     elif args.strategies:
-        strategies = [s.strip() for s in args.strategies.split(",")]
-        for s in strategies:
-            engine._priority(s, 0)  # raises on an unknown strategy
+        strategies = list(dict.fromkeys(s.strip() for s in args.strategies.split(",")))
     else:
         strategies = []
     node_max = args.node_N if args.node_N is not None else min(args.N, 300)
     numerics._require_at_least("--node-N", node_max, 1)
     top = max(args.N, node_max) if strategies else args.N
+    # only random reads the seed; an unknown strategy raises at the first pile
+    runs = [("simulate_layers", engine.simulate_layers)] + [
+        (f"{s} seed {format_int(seed)}",
+         functools.partial(engine.simulate, strategy=s, seed=seed, force=args.force))
+        for s in strategies for seed in range(args.seeds if s == "random" else 1)]
 
     for k in ks:
         for N in range(1, top + 1):
-            _verify_cell(N, k, strategies if N <= node_max else [], args.seeds, args.force)
+            _verify_cell(N, k, runs if N <= node_max else runs[:1])
+        for i in range(numerics.height_index(top, k)):  # the deepest pile's layers
+            formulas.crosscheck("vertex_fires", top, k, i)
         print(f"k={format_int(k)}: formulas match engine for "
-              f"N=1..{format_int(args.N)}")
+              f"N=1..{format_int(top)}")
         if strategies:
             print(f"k={format_int(k)}: confluent over "
                   f"{format_int(len(strategies))} strategies x "
@@ -235,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="",
                    help="comma-separated node-level strategies, or 'all'")
     p.add_argument("--seeds", type=_decimal, default=1,
-                   help="run each listed strategy once per seed 0..SEEDS-1; only "
-                        "random reads the seed (default 1)")
+                   help="run random once per seed 0..SEEDS-1; bfs and max-chips "
+                        "run once (default 1)")
     p.add_argument("--node-N", type=_decimal, default=None,
                    help="cap pile size for node-level runs (default min(N, 300))")
     p.add_argument("--force", action="store_true",

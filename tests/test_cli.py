@@ -144,7 +144,7 @@ def test_verify_cell_derives_one_stable_configuration(monkeypatch):
     monkeypatch.setattr(numerics, "to_base", counted_to_base)
     for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
         calls.clear()
-        cli._verify_cell(N, k, [], 1, False)
+        cli._verify_cell(N, k, [("simulate_layers", engine.simulate_layers)])
         assert len(calls) <= 1, (N, k, calls)
 
 
@@ -163,6 +163,82 @@ def test_verify_runs_the_layer_engine_once_per_pile(monkeypatch):
         code, out, _ = run(["verify", "-k", "2..3", *argv, "--strategies", "bfs,random"])
         assert code == 0, out
         assert piles == [(N, k) for k in (2, 3) for N in range(1, top + 1)], argv
+
+
+def _record_simulate(monkeypatch):
+    calls = []
+    real = engine.simulate
+
+    def counted_simulate(N, k, **kw):
+        calls.append((N, k, kw["strategy"], kw["seed"]))
+        return real(N, k, **kw)
+
+    monkeypatch.setattr(engine, "simulate", counted_simulate)
+    return calls
+
+
+def test_verify_runs_each_firing_order_once(monkeypatch):
+    # bfs and max-chips read no seed, so they run once per pile; random runs
+    # once per seed
+    calls = _record_simulate(monkeypatch)
+    code, out, _ = run(["verify", "-k", "2", "-N", "10", "--strategies", "all",
+                        "--seeds", "3"])
+    assert code == 0, out
+    orders = [("bfs", 0), ("max-chips", 0), ("random", 0), ("random", 1), ("random", 2)]
+    assert calls == [(N, 2, *order) for N in range(1, 11) for order in orders]
+    assert "k=2: confluent over 3 strategies x 3 seeds for N=1..10" in out
+
+
+def test_verify_drops_duplicate_strategies(monkeypatch):
+    calls = _record_simulate(monkeypatch)
+    code, out, _ = run(["verify", "-k", "2..3", "-N", "5", "--strategies", "bfs,bfs",
+                        "--seeds", "2"])
+    assert code == 0, out
+    assert calls == [(N, k, "bfs", 0) for k in (2, 3) for N in range(1, 6)]
+    assert "k=3: confluent over 1 strategies x 2 seeds for N=1..5" in out
+
+
+def test_verify_formula_line_names_the_top_pile():
+    # node-level runs past -N take the formula checks with them
+    code, out, _ = run(["verify", "-k", "2", "-N", "8", "--node-N", "15",
+                        "--strategies", "bfs"])
+    assert code == 0, out
+    assert out.splitlines()[0] == "k=2: formulas match engine for N=1..15"
+    code, out, _ = run(["verify", "-k", "2", "-N", "8", "--node-N", "15"])
+    assert code == 0, out
+    assert out.splitlines()[0] == "k=2: formulas match engine for N=1..8"
+
+
+def test_verify_checks_vertex_fires_on_the_deepest_pile(monkeypatch):
+    real = formulas.vertex_fires_via_root
+    monkeypatch.setitem(formulas.ROUTES, "vertex_fires",
+                        (formulas.vertex_fires,
+                         lambda N, k, i: real(N, k, i) + (i == 1)))
+    code, out, err = run(["verify", "-k", "2", "-N", "60"])
+    assert code == 1 and not err
+    # the one line is the FAIL, before the k's formula line
+    assert out == ("FAIL: vertex_fires(60, 2, 1): routes disagree: "
+                   "vertex_fires 22, <lambda> 23\n")
+
+
+def test_every_route_runs_in_the_product(monkeypatch):
+    called = set()
+
+    def counted(quantity, route):
+        def wrapper(*args):
+            called.add((quantity, route.__name__))
+            return route(*args)
+        wrapper.__name__ = route.__name__
+        return wrapper
+
+    for quantity, routes in formulas.ROUTES.items():
+        monkeypatch.setitem(formulas.ROUTES, quantity,
+                            tuple(counted(quantity, r) for r in routes))
+    for argv in (["seq", "a", "-k", "3"], ["seq", "b", "-k", "3"], ["seq", "D", "-k", "3"],
+                 ["seq", "d0", "-k", "3"], ["verify", "-k", "2", "-N", "10"]):
+        assert run(argv)[0] == 0, argv
+    assert called == {(quantity, r.__name__)
+                      for quantity, routes in formulas.ROUTES.items() for r in routes}
 
 
 def test_verify_fail_line_names_the_smallest_failing_pile(monkeypatch):
