@@ -2,9 +2,11 @@
 
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
 parsed, and every integer printed, by `numerics.parse_int` and
-`numerics.format_int`, so no integer is too long.  Exit codes: 0 success,
-1 routes, or the engine and a formula, disagreed, in any subcommand (one
-`FAIL:` line, no traceback), 2 usage error, 141 standard output closed early.
+`numerics.format_int`, so no integer is too long.  `stable` and `fires`
+pass their answer through `numerics.certify` before printing it.  Exit
+codes: 0 success, 1 routes, or the engine and a formula, disagreed, or an
+answer failed its certificate, in any subcommand (one `FAIL:` line, no
+traceback), 2 usage error, 141 standard output closed early.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def _parse_k_range(text: str) -> range:
 
 def cmd_stable(args) -> int:
     cfg = numerics.stable_config(args.N, args.k)
+    numerics.certify(args.N, args.k, cfg.c)
     # layer i+1 holds digit i of N - repunit(n, k), plus one
     digits = numerics.DigitString(radix=args.k,
                                   digits=tuple(c - 1 for c in reversed(cfg.c)))
@@ -66,6 +69,7 @@ def cmd_stable(args) -> int:
 
 def cmd_fires(args) -> int:
     profile = formulas.fire_profile(args.N, args.k)
+    numerics.certify(args.N, args.k, numerics.stable_config(args.N, args.k).c, profile.f)
     if args.format == "json":
         print(sequences.json_text({"N": args.N, "k": args.k, "n": profile.n,
                                    "fires_per_vertex": profile.f,
@@ -132,7 +136,7 @@ def cmd_verify(args) -> int:
     # only random reads the seed; an unknown strategy raises at the first pile
     runs = [("simulate_layers", engine.simulate_layers)] + [
         (f"{s} seed {format_int(seed)}",
-         functools.partial(engine.simulate, strategy=s, seed=seed, force=args.force))
+         functools.partial(engine.simulate, strategy=s, seed=seed))
         for s in strategies for seed in range(args.seeds if s == "random" else 1)]
 
     for k in ks:
@@ -143,9 +147,8 @@ def cmd_verify(args) -> int:
         print(f"k={format_int(k)}: formulas match engine for "
               f"N=1..{format_int(top)}")
         if strategies:
-            print(f"k={format_int(k)}: confluent over "
-                  f"{format_int(len(strategies))} strategies x "
-                  f"{format_int(args.seeds)} seeds for N=1..{format_int(node_max)}")
+            print(f"k={format_int(k)}: confluent over {format_int(len(runs) - 1)} "
+                  f"node-level runs for N=1..{format_int(node_max)}")
     print("verify: all checks passed")
     return 0
 
@@ -240,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "run once (default 1)")
     p.add_argument("--node-N", type=_decimal, default=None,
                    help="cap pile size for node-level runs (default min(N, 300))")
-    p.add_argument("--force", action="store_true",
-                   help="lift the node-count budget on node-level runs")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schizo",

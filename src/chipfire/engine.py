@@ -36,8 +36,10 @@ Two engines are provided:
   deep pile takes about 0.26 n^2 batches, which makes it fast enough to
   serve as the oracle for the closed-form formulas at hundreds of digits.
 
-Both engines end in `_result`, the one conservation and chip-range check.
-Neither engine imports `formulas`; `_budget` proves their step budget.
+Both engines end in `_result`, which passes the chips and fires per layer
+through `numerics.certify`, the odometer certificate, so no wrong outcome
+leaves either engine.  Neither engine imports `formulas`; `_budget` proves
+their step budget.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .numerics import (_require_at_least, _require_k, format_int, height_index,
-                       repunit)
+from .numerics import (_require_at_least, _require_k, certify, format_int,
+                       height_index, repunit)
 
 STRATEGIES = ("bfs", "max-chips", "random")
 
-# node-level simulation refuses trees whose touched-node count exceeds this
-# unless force=True; the layer engine has no such cap
+# node-level simulation refuses trees whose touched-node count exceeds this;
+# the layer engine has no such cap
 NODE_BUDGET = 10**7
 
 
@@ -61,7 +63,7 @@ class EngineError(RuntimeError):
 
 
 class TreeSizeError(ValueError):
-    """Node-level simulation would touch too many nodes; use force to override."""
+    """Node-level simulation would touch too many nodes."""
 
 
 @dataclass(frozen=True)
@@ -106,16 +108,14 @@ def _budget(N: int, k: int) -> tuple[int, int]:
 
 
 def _result(N: int, k: int, stable: list[int], by_layer: list[int]) -> SimResult:
-    """End-of-run check of both engines, then package the per-layer counts.
+    """Certify a run's chips and fires per layer, then package them.
 
-    Chips must be conserved and every layer must hold 1..k chips per vertex:
-    stable, and reached.  Root and total fires follow from the layer fires.
+    `certify` raises AssertionError unless they are the unique stable
+    configuration of N and its odometer, which also proves chips conserved
+    and every layer stable and reached.  Root and total fires follow from
+    the layer fires.
     """
-    if sum(c * k**i for i, c in enumerate(stable)) != N:
-        raise EngineError(f"chip conservation broken at stabilization ({_pile(N, k)})")
-    if not all(1 <= c <= k for c in stable):
-        raise EngineError(f"stable chips per layer [{', '.join(map(format_int, stable))}] "
-                          f"not all in 1..{format_int(k)} ({_pile(N, k)})")
+    certify(N, k, stable, by_layer)
     return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
                      fires_by_layer=tuple(by_layer),
                      root_fires=by_layer[0] if by_layer else 0,
@@ -138,14 +138,13 @@ def _priority(strategy: str, seed: int):
     raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
-def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
-             force: bool = False, check_each_step: bool = False) -> SimResult:
+def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
     """Stabilize N chips dropped on the root, one vertex's batch of fires at a time.
 
     The order of the batches follows `strategy` ("bfs", "max-chips" or
     "random"); `seed` only matters for the random strategy, which draws one
     key each time a vertex is queued.  Raises TreeSizeError when the run
-    would touch more than NODE_BUDGET nodes and force is not set.
+    would touch more than NODE_BUDGET nodes.
 
     A popped vertex holding c chips fires t times at once: t = c // (k+1)
     off the root, and t = (c - k - 1) // k + 1 at the root, whose self-loop
@@ -159,15 +158,13 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
     batching changes neither the fires nor the stable chips.  `steps`
     counts the t single fires of a batch, so `_budget`'s bound holds as it
     did for one fire per pop, and a layer-n vertex raises before its batch.
-    With `check_each_step`, conservation is checked after each batch.
     """
     n, budget = _budget(N, k)
     key = _priority(strategy, seed)
     size = repunit(n, k)
-    if size > NODE_BUDGET and not force:
-        raise TreeSizeError(
-            f"{_pile(N, k)} touches about {format_int(size)} nodes "
-            f"(budget {format_int(NODE_BUDGET)}); pass force=True to run anyway")
+    if size > NODE_BUDGET:
+        raise TreeSizeError(f"{_pile(N, k)} touches about {format_int(size)} nodes "
+                            f"(budget {format_int(NODE_BUDGET)})")
 
     threshold = k + 1
     # a gain queues a vertex only as it reaches k+1 chips, unless the key is the count
@@ -212,9 +209,6 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0,
         if steps > budget:
             raise EngineError(f"step budget {format_int(budget)} exceeded at "
                               f"{_pile(N, k)}")
-        if check_each_step and sum(chips) != N:
-            raise EngineError(f"chip conservation broken at step {format_int(steps)} "
-                              f"({_pile(N, k)})")
 
     return _result(N, k, *_collect(N, k, n, chips, fires))
 
@@ -261,7 +255,7 @@ def _odometer_floor(N: int, k: int, n: int) -> list[int]:
     return u0
 
 
-def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
+def simulate_layers(N: int, k: int) -> SimResult:
     """Stabilize using one representative vertex per layer.
 
     Valid because the parallel strategy keeps every vertex on a layer
@@ -335,9 +329,6 @@ def simulate_layers(N: int, k: int, check_each_step: bool = False) -> SimResult:
             if steps > budget:
                 raise EngineError(f"step budget {format_int(budget)} exceeded at "
                                   f"{_pile(N, k)}")
-            if check_each_step and sum(c * k**j for j, c in enumerate(chips)) != N:
-                raise EngineError(f"chip conservation broken at step "
-                                  f"{format_int(steps)} ({_pile(N, k)})")
         if not progressed:
             break
 

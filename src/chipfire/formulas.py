@@ -114,19 +114,22 @@ def total_fires(N: int, k: int) -> int:
 
 
 def total_fires_rec(N: int, k: int) -> int:
-    """Total fires by the recursion F(N) = f0(N) + k * F(ceil(N/k) - 1).
+    """Total fires by the recursion F(N) = f0(N) + k * F(ceil(N/k) - 1), unrolled.
 
-    Stays inside the recursive family (uses root_fires_rec) so that it is a
-    path independent of the closed forms.
+    With q_0 = N and q_i = ceil(q_(i-1)/k) - 1, the root fires are
+    f0(q_j) = sum over i > j of q_i, so F(N) = sum over j of k^j f0(q_j)
+    = sum over i >= 1 of q_i * repunit(i): one pass with a running repunit
+    r = k*r + 1.  It calls no other route and stays independent of the
+    closed forms.
     """
     _require_at_least("N", N, 0)
     total = 0
-    weight = 1
+    r = 0  # repunit(i)
     x = N
     while x > 0:
-        total += weight * root_fires_rec(x, k)
-        weight *= k
-        x = (x - 1) // k
+        x = (x - 1) // k  # q_i
+        r = k * r + 1
+        total += x * r
     return total
 
 

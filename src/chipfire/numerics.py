@@ -16,6 +16,10 @@ splitter only when those refuse a value past the interpreter's digit limit,
 so no size of integer is refused and the limit is never read or lifted.
 Every `need X >= lo, got v` check is one `_require_at_least` call, and every
 integer in a message goes through `format_int`.
+
+`certify` is the odometer certificate: an O(n) proof that given chips and
+fires per layer are a pile's outcome.  Every engine run and every `stable`
+and `fires` answer of the CLI passes through it.
 """
 
 from __future__ import annotations
@@ -240,3 +244,81 @@ def stable_config(N: int, k: int) -> StableConfig:
     a = to_base(N - repunit(n, k), k, n)
     c = tuple(d + 1 for d in reversed(a.digits))
     return StableConfig(k=k, n=n, c=c)
+
+
+def _certifying(N: int, k: int) -> str:
+    return f"certify({format_int(N)}, {format_int(k)})"
+
+
+def certify(N: int, k: int, c, f=None) -> None:
+    """Prove that N chips stabilize to c per vertex by layer, firing f; else raise.
+
+    The odometer certificate: O(n) big-integer steps, no simulation and no
+    closed form.  A failure raises AssertionError naming a layer whose
+    equation fails and the pile.
+
+    With f: every c_i lies in 1..k, the last layer does not fire,
+    f_(n-1) = 0, and N.e0 - L.f = c, where L is the layer matrix of
+    `engine.simulate_layers`: row 0 is N - k.f_0 + k.f_1 = c_0 and row
+    i > 0 is f_(i-1) - (k+1).f_i + k.f_(i+1) = c_i, with f_n = 0.  An empty
+    c certifies only N = 0.  Nothing more is needed, f >= 0 included.
+    Weighting row i by k^i telescopes the rows to
+    sum c_i.k^i = N - k^n.f_(n-1) = N, and digits in 1..k make c the
+    bijective base-k numeral of N, which is unique (k-adic notation;
+    Smullyan, 1961).  L is a nonsingular M-matrix, so f = L^-1(N.e0 - c) is
+    the only solution; the odometer, whose stable chips lie in 1..k and
+    whose layer n never fires, is one, so f is the odometer.  This is the
+    least action principle (Fey, Levine and Peres, J. Stat. Phys., 2010) in
+    exact form.  Row i > 0 reads f_(i-1) - f_i = c_i + k.(f_i - f_(i+1)),
+    so the rows are checked from the last layer up as differences, each
+    fixing the fires of the layer above it; one wrong fire count is named
+    at its own layer.
+
+    Without f: c_i in 1..k and sum c_i.k^i = N, which by the same
+    uniqueness make c the stable configuration.  The sum is Horner's rule
+    read from the root: r = N, and each layer takes r to (r - c_i) / k,
+    which must divide exactly and end at 0.  So the first wrong digit is
+    named at its layer, and the check shares no code with the conversion
+    that `stable_config` runs (`_split`, `_join`, `_power`).
+    """
+    if c and not 1 <= min(c) <= max(c) <= k:
+        i, ci = next((i, ci) for i, ci in enumerate(c) if not 1 <= ci <= k)
+        raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i + 1)} holds "
+                             f"{format_int(ci)} chips per vertex, outside "
+                             f"1..{format_int(k)}")
+    n = len(c)
+    if f is None:
+        r = N
+        for i, ci in enumerate(c):
+            r, rest = divmod(r - ci, k)
+            if rest:
+                digit = (ci + rest - 1) % k + 1  # the digit of 1..k that divides
+                raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i + 1)} "
+                                     f"holds {format_int(ci)} chips per vertex, not "
+                                     f"{format_int(digit)}")
+        if r:  # N = sum c_i.k^i + r.k^n
+            raise AssertionError(f"{_certifying(N, k)}: {format_int(r)} chips per vertex "
+                                 f"are left for layer {format_int(n + 1)}")
+        return
+    if len(f) != n:
+        raise AssertionError(f"{_certifying(N, k)}: {format_int(len(f))} layers fire, "
+                             f"{format_int(n)} hold chips")
+    if not n:
+        if N:
+            raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
+                                 "are left for layer 1")
+        return
+    if f[-1]:
+        raise AssertionError(f"{_certifying(N, k)}: layer {format_int(n)} fires "
+                             f"{format_int(f[-1])} times per vertex, not 0")
+    delta = 0  # f_i - f_(i+1), from i = n-1 up
+    for i in range(n - 1, 0, -1):
+        delta = c[i] + k * delta  # row i fixes f_(i-1) - f_i
+        if f[i - 1] - f[i] != delta:
+            raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i)} fires "
+                                 f"{format_int(f[i - 1])} times per vertex, "
+                                 f"not {format_int(f[i] + delta)}")
+    if N - k * delta != c[0]:  # row 0, with delta = f_0 - f_1
+        raise AssertionError(f"{_certifying(N, k)}: layer 1 ends with "
+                             f"{format_int(N - k * delta)} chips per vertex, "
+                             f"not {format_int(c[0])}")

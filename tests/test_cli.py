@@ -186,7 +186,7 @@ def test_verify_runs_each_firing_order_once(monkeypatch):
     assert code == 0, out
     orders = [("bfs", 0), ("max-chips", 0), ("random", 0), ("random", 1), ("random", 2)]
     assert calls == [(N, 2, *order) for N in range(1, 11) for order in orders]
-    assert "k=2: confluent over 3 strategies x 3 seeds for N=1..10" in out
+    assert "k=2: confluent over 5 node-level runs for N=1..10" in out
 
 
 def test_verify_drops_duplicate_strategies(monkeypatch):
@@ -195,7 +195,7 @@ def test_verify_drops_duplicate_strategies(monkeypatch):
                         "--seeds", "2"])
     assert code == 0, out
     assert calls == [(N, k, "bfs", 0) for k in (2, 3) for N in range(1, 6)]
-    assert "k=3: confluent over 1 strategies x 2 seeds for N=1..5" in out
+    assert "k=3: confluent over 1 node-level runs for N=1..5" in out
 
 
 def test_verify_formula_line_names_the_top_pile():
@@ -274,26 +274,58 @@ def _break_odometer_floor(monkeypatch):
                         lambda N, k, n: [u + 1 for u in real(N, k, n)])
 
 
-@pytest.mark.parametrize("argv,patch", [
+def _wrong_fires_at_layer_2(monkeypatch):
+    real = formulas._fires_by_layer
+    monkeypatch.setattr(formulas, "_fires_by_layer",
+                        lambda c, k: [f + (i == 1) for i, f in enumerate(real(c, k))])
+
+
+def _wrong_digit_at_layer_2(monkeypatch):
+    real = numerics.stable_config
+
+    def wrong(N, k):
+        cfg = real(N, k)
+        return dataclasses.replace(cfg, c=cfg.c[:1] + (cfg.c[1] % k + 1,) + cfg.c[2:])
+
+    monkeypatch.setattr(numerics, "stable_config", wrong)
+
+
+D5000 = "1" + "0" * 4999 + "7"
+
+
+@pytest.mark.parametrize("argv,patch,named", [
     (["seq", "g0", "-k", "3", "-n", "4"],  # both d0 routes agree on a wrong value
-     lambda mp: mp.setitem(formulas.ROUTES, "d0", (_off_by_one(formulas.d0_formula),) * 2)),
+     lambda mp: mp.setitem(formulas.ROUTES, "d0", (_off_by_one(formulas.d0_formula),) * 2),
+     "g0(4, 3): routes disagree"),
     (["seq", "d0", "-k", "3", "-n", "4"],
      lambda mp: mp.setitem(formulas.ROUTES, "d0", (formulas.d0_formula,
-                                                   _off_by_one(formulas.d0_recursive)))),
+                                                   _off_by_one(formulas.d0_recursive))),
+     "d0(1, 3): routes disagree"),
     (["schizo", "-k", "10", "-n", "3", "-p", "5"],
      lambda mp: mp.setitem(formulas.ROUTES, "a", (formulas.a_closed,
-                                                  _off_by_one(formulas.a_recursive)))),
-    (["verify", "-k", "2", "-N", "30"], _break_odometer_floor),  # an EngineError
+                                                  _off_by_one(formulas.a_recursive))),
+     "a(3, 10): routes disagree"),
+    # the engine's own certificate rejects its run
+    (["verify", "-k", "2", "-N", "30"], _break_odometer_floor, "certify(1, 2): layer 1 "),
     (["verify", "-k", "2..3", "-N", "60"],
      lambda mp: mp.setitem(formulas.ROUTES, "root_fires",
-                           (formulas.root_fires, _off_by_one(formulas.root_fires_rec)))),
+                           (formulas.root_fires, _off_by_one(formulas.root_fires_rec))),
+     "root_fires(1, 2): routes disagree"),
+    (["fires", "-N", "100", "-k", "3"], _wrong_fires_at_layer_2,
+     "certify(100, 3): layer 2 fires "),
+    (["stable", "-N", "100", "-k", "3"], _wrong_digit_at_layer_2,
+     "certify(100, 3): layer 2 holds "),
+    (["fires", "-N", D5000, "-k", "10"], _wrong_fires_at_layer_2,  # N printed in full
+     f"certify({D5000}, 10): layer 2 fires "),
 ], ids=["seq-g0-window-end", "seq-d0-routes", "schizo-routes", "verify-engine",
-        "verify-routes"])
-def test_every_disagreement_ends_in_one_fail_line(monkeypatch, argv, patch):
+        "verify-routes", "fires-certificate", "stable-certificate",
+        "fires-certificate-5000-digits"])
+def test_every_disagreement_ends_in_one_fail_line(monkeypatch, argv, patch, named):
     patch(monkeypatch)
     code, out, err = run(argv)
     assert code == 1
-    assert sum(line.startswith("FAIL: ") for line in out.splitlines()) == 1
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert fail.startswith(f"FAIL: {named}"), fail[:200]
     assert "Traceback" not in err
 
 

@@ -48,14 +48,6 @@ def test_zero_chips():
         assert r.total_fires == 0
 
 
-def test_chip_conservation_each_step():
-    for N in (1, 7, 25, 60):
-        simulate(N, 2, check_each_step=True)
-        simulate(N, 3, check_each_step=True)
-        simulate_layers(N, 2, check_each_step=True)
-        simulate_layers(N, 3, check_each_step=True)
-
-
 def test_step_counters():
     # steps has one meaning in both engines: single-vertex fires
     for N, k in [(9, 3), (31, 2), (100, 4)]:
@@ -125,6 +117,20 @@ def test_a_truncated_tree_refuses_to_fire_its_last_layer(monkeypatch, strategy):
     monkeypatch.setattr(engine, "height_index", lambda N, k: n - 1)
     with pytest.raises(engine.EngineError, match="would fire .* truncated tree"):
         simulate(N, k, strategy=strategy)
+
+
+@pytest.mark.parametrize("wrong,named", [
+    (lambda stable, by_layer: (stable, by_layer[:1] + [by_layer[1] + 1] + by_layer[2:]),
+     r"certify\(200, 2\): layer 2 fires 92 times per vertex, not 91$"),
+    (lambda stable, by_layer: (stable[:2] + [3 - stable[2]] + stable[3:], by_layer),
+     r"certify\(200, 2\): layer 2 fires 91 times per vertex, not 92$"),
+], ids=["fires", "chips"])
+def test_result_rejects_a_wrong_layer(monkeypatch, wrong, named):
+    # whatever _collect hands over, _result lets out only a certified run
+    real = engine._collect
+    monkeypatch.setattr(engine, "_collect", lambda *args: wrong(*real(*args)))
+    with pytest.raises(AssertionError, match=named):
+        simulate(200, 2)
 
 
 def test_last_layer_stays_silent():

@@ -9,6 +9,7 @@ from chipfire import engine, formulas, schizo
 from chipfire.numerics import (
     DigitString,
     StableConfig,
+    certify,
     exact_div,
     height_index,
     format_int,
@@ -209,6 +210,67 @@ def test_exact_div():
         exact_div(7, 2)
 
 
+def _outcome(N, k):
+    """The stable chips and the fires per layer of N chips, by the formulas."""
+    return stable_config(N, k).c, formulas.fire_profile(N, k).f
+
+
+def test_certify_accepts_every_outcome():
+    for k in (2, 3, 4, 10):
+        for N in range(0, 1500):
+            c, f = _outcome(N, k) if N else ((), ())
+            certify(N, k, c)
+            certify(N, k, c, f)
+
+
+def test_certify_names_the_layer_of_a_wrong_fire_count():
+    for k in (2, 3, 10):
+        for N in range(1, 1500, 7):
+            c, f = _outcome(N, k)
+            for i in range(len(f)):
+                for step in (-1, 1):
+                    wrong = f[:i] + (f[i] + step,) + f[i + 1:]
+                    with pytest.raises(AssertionError, match=(
+                            rf"^certify\({N}, {k}\): layer {i + 1} fires "
+                            rf"{f[i] + step} times per vertex, not {f[i]}$")):
+                        certify(N, k, c, wrong)
+
+
+def test_certify_names_the_layer_of_a_wrong_digit():
+    for k in (2, 3, 10):
+        for N in range(1, 1500, 7):
+            c, _ = _outcome(N, k)
+            for i in range(len(c)):
+                for ci in range(0, k + 2):
+                    if ci == c[i]:
+                        continue
+                    why = "outside 1" if not 1 <= ci <= k else f"not {c[i]}$"
+                    with pytest.raises(AssertionError, match=(
+                            rf"^certify\({N}, {k}\): layer {i + 1} holds {ci} chips "
+                            rf"per vertex, {why}")):
+                        certify(N, k, c[:i] + (ci,) + c[i + 1:])
+
+
+@pytest.mark.parametrize("args,message", [
+    ((5, 2, ()), "5 chips per vertex are left for layer 1"),
+    ((5, 2, (), ()), "5 chips per vertex are left for layer 1"),
+    ((6, 2, (1, 2), (2, 0)), "layer 1 ends with 2 chips per vertex, not 1"),  # N = 5's
+    ((9, 3, (3, 2), (2, 1)), "layer 2 fires 1 times per vertex, not 0"),  # f_(n-1) != 0
+    ((9, 3, (3, 4), (2, 0)), "layer 2 holds 4 chips per vertex, outside 1..3"),
+    ((9, 3, (3, 0)), "layer 2 holds 0 chips per vertex, outside 1..3"),
+    ((9, 3, (3, 2), (2,)), "1 layers fire, 2 hold chips"),
+    # (3, 2) holds 3 + 2*3 = 9 chips
+    ((18, 3, (3, 2)), "1 chips per vertex are left for layer 3"),
+    ((0, 3, (3, 2)), "-1 chips per vertex are left for layer 3"),
+    ((9, 3, (3, 2, 1)), "layer 3 holds 1 chips per vertex, not 3"),
+])
+def test_certify_rejects(args, message):
+    with pytest.raises(AssertionError) as exc:
+        certify(*args)
+    N, k = args[:2]
+    assert str(exc.value) == f"certify({N}, {k}): {message}"
+
+
 # one integer past CPython's 4300-digit str/int limit, and its text
 BIG, BIG_TEXT = 10**5001 - 1, "9" * 5001
 NEG, NEG_TEXT = -BIG, "-" + BIG_TEXT
@@ -274,8 +336,7 @@ RANGE_CHECKS = [  # (id, call, its message)
     ("simulate_layers", lambda: engine.simulate_layers(NEG, 2),
      f"need N >= 0, got {NEG_TEXT}"),
     ("simulate-size", lambda: engine.simulate(BIG + 1, 10),
-     f"N=1{'0' * 5001}, k=10 touches about {'1' * 5001} nodes (budget 10000000); "
-     "pass force=True to run anyway"),
+     f"N=1{'0' * 5001}, k=10 touches about {'1' * 5001} nodes (budget 10000000)"),
     ("sqrt_digits-x", lambda: schizo.sqrt_digits(NEG, 5),
      f"need x >= 1, got {NEG_TEXT}"),
     ("sqrt_digits-precision", lambda: schizo.sqrt_digits(5, NEG),

@@ -25,7 +25,7 @@ from chipfire import formulas
 from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, simulate,
                              simulate_layers)
 from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
-from chipfire.numerics import (format_int, height_index, parse_int, repunit,
+from chipfire.numerics import (certify, format_int, height_index, parse_int, repunit,
                                stable_config, to_base)
 from chipfire.schizo import inv_sqrt_digits, sqrt_digits
 from chipfire.sequences import (SequenceId, SequenceWindow, difference, emit_bfile,
@@ -216,6 +216,23 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
     if i < n - 1:
         delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
         assert profile.f[i] - profile.f[i + 1] == delta
+
+
+@bounded(100)
+@given(N=st.integers(10**49, 10**200 - 1), k=st.integers(2, 64), data=st.data())
+def test_certificate_accepts_the_outcome_and_names_one_wrong_layer(N, k, data):
+    c, f = stable_config(N, k).c, fire_profile(N, k).f
+    certify(N, k, c)
+    certify(N, k, c, f)
+    i = data.draw(st.integers(0, len(c) - 1), label="layer")
+    step = data.draw(st.sampled_from((-1, 1)), label="step")
+    with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} fires "):
+        certify(N, k, c, f[:i] + (f[i] + step,) + f[i + 1:])
+    digit = (c[i] + step - 1) % k + 1  # another digit of 1..k
+    with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} holds "):
+        certify(N, k, c[:i] + (digit,) + c[i + 1:])
+    with pytest.raises(AssertionError):
+        certify(N, k, c[:i] + (digit,) + c[i + 1:], f)
 
 
 def _repunit_by_loop(n, k):
