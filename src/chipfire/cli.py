@@ -107,9 +107,8 @@ def cmd_seq(args) -> int:
     return 0
 
 
-def _verify_cell(N: int, k: int, runs: list) -> None:
-    """Hold every (label, run) of `runs` and every formula to one result."""
-    results = [(label, run(N, k)) for label, run in runs]
+def _verify_cell(N: int, k: int, results: list) -> None:
+    """Hold every (label, SimResult) of `results` and every formula to one result."""
     formula = {"stable_chips": [("stable_config", numerics.stable_config(N, k).c)],
                "fires_by_layer": [("fire_profile", formulas.fire_profile(N, k).f)]}
     for quantity in ("root_fires", "total_fires"):
@@ -134,20 +133,23 @@ def cmd_verify(args) -> int:
     numerics._require_at_least("--node-N", node_max, 1)
     top = max(args.N, node_max) if strategies else args.N
     # only random reads the seed; an unknown strategy raises at the first pile
-    runs = [("simulate_layers", engine.simulate_layers)] + [
-        (f"{s} seed {format_int(seed)}",
-         functools.partial(engine.simulate, strategy=s, seed=seed))
-        for s in strategies for seed in range(args.seeds if s == "random" else 1)]
+    runs = [(f"{s} seed {format_int(seed)}",
+             functools.partial(engine.simulate, strategy=s, seed=seed))
+            for s in strategies for seed in range(args.seeds if s == "random" else 1)]
 
     for k in ks:
-        for N in range(1, top + 1):
-            _verify_cell(N, k, runs if N <= node_max else runs[:1])
+        # pile N of the stream is pile N-1 plus one chip; node-level runs start from zero
+        for N, result in zip(range(1, top + 1), engine.avalanche(k, top)):
+            results = [("avalanche", result)]
+            if N <= node_max:
+                results += [(label, run(N, k)) for label, run in runs]
+            _verify_cell(N, k, results)
         for i in range(numerics.height_index(top, k)):  # the deepest pile's layers
             formulas.crosscheck("vertex_fires", top, k, i)
         print(f"k={format_int(k)}: formulas match engine for "
               f"N=1..{format_int(top)}")
         if strategies:
-            print(f"k={format_int(k)}: confluent over {format_int(len(runs) - 1)} "
+            print(f"k={format_int(k)}: confluent over {format_int(len(runs))} "
                   f"node-level runs for N=1..{format_int(node_max)}")
     print("verify: all checks passed")
     return 0

@@ -30,21 +30,30 @@ Two engines are provided:
   leaves it with k+1 or more, and an entry whose count is no longer the
   vertex's count is dropped when popped.  So a strategy orders batches of
   fires, one batch per pop.
-* `simulate_layers` exploits layer symmetry (every vertex on a layer carries
-  the same count under the parallel strategy) and fires whole layers in
-  batches.  It starts from a lower bound on the fires of each layer, so a
-  deep pile takes about 0.26 n^2 batches, which makes it fast enough to
-  serve as the oracle for the closed-form formulas at hundreds of digits.
+* The layer engine exploits layer symmetry (every vertex on a layer
+  carries the same count under the parallel strategy) and fires whole
+  layers in batches, in one loop, `_settle`, which holds the step budget
+  and the layer-n refusal.  It has two entry points, which differ only in
+  the state `_settle` starts from:
+  - `simulate_layers(N, k)` settles one pile from a lower bound on the
+    fires of each layer, so a deep pile takes about 0.26 n^2 batches,
+    which makes it fast enough to serve as the oracle for the closed-form
+    formulas at hundreds of digits;
+  - `avalanche(k, top)` yields every pile N = 1..top in turn: pile N is
+    pile N-1 plus one chip at the root, settled, and a layer is added when
+    N reaches repunit(n+1).
 
 Both engines end in `_result`, which passes the chips and fires per layer
 through `numerics.certify`, the odometer certificate, so no wrong outcome
-leaves either engine.  Neither engine imports `formulas`; `_budget` proves
-their step budget.
+leaves either engine, and in the avalanche no pile after a wrong one is
+yielded.  Neither engine imports `formulas`; `_budget` proves their step
+budget.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -71,8 +80,8 @@ class SimResult:
     """Measured outcome of one stabilization run.
 
     `stable_chips[i]` / `fires_by_layer[i]` refer to every vertex on layer
-    i+1, for layers 1..n, each vertex holding 1..k chips.  Both engines give
-    equal results for equal (N, k).
+    i+1, for layers 1..n, each vertex holding 1..k chips.  Every entry point
+    gives equal results for equal (N, k).
     """
 
     k: int
@@ -116,10 +125,12 @@ def _result(N: int, k: int, stable: list[int], by_layer: list[int]) -> SimResult
     the layer fires.
     """
     certify(N, k, stable, by_layer)
+    total = 0
+    for f in reversed(by_layer):  # sum of f_i.k^i, by Horner's rule
+        total = total * k + f
     return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
                      fires_by_layer=tuple(by_layer),
-                     root_fires=by_layer[0] if by_layer else 0,
-                     total_fires=sum(f * k**i for i, f in enumerate(by_layer)))
+                     root_fires=by_layer[0] if by_layer else 0, total_fires=total)
 
 
 def _pile(N: int, k: int) -> str:
@@ -296,15 +307,60 @@ def simulate_layers(N: int, k: int) -> SimResult:
     which `_budget` bounds by N(n-1)/(k-1).
     """
     n, budget = _budget(N, k)
-    threshold = k + 1
     fires = _odometer_floor(N, k, n)
     # the root is its own parent through the self-loop; nothing fires below layer n
     u = fires[:1] + fires + [0]
-    chips = [u[i] - threshold * u[i + 1] + k * u[i + 2] for i in range(n)]
+    chips = [u[i] - (k + 1) * u[i + 1] + k * u[i + 2] for i in range(n)]
     if N:
         chips[0] += N
+    _settle(N, k, chips, fires, sum(fires), budget)
+    return _result(N, k, chips, fires)
 
-    steps = sum(fires)
+
+def avalanche(k: int, top: int) -> Iterator[SimResult]:
+    """Yield the result of every pile N = 1..top, one chip at a time.
+
+    By the abelian property (Dhar, PRL 64, 1990; Bjorner, Lovasz and Shor,
+    1991) the stable configuration of N+1 chips is that of N with one more
+    chip at the root, settled, and the fires of N+1 are the fires of N plus
+    that one avalanche.  So each pile adds one chip to the root and runs
+    `_settle` on the state the last pile left.  A layer is added exactly
+    when N reaches repunit(n+1), the first pile of height index n+1.  Each
+    pile ends in `_result`, so a pile whose run is wrong raises there, before
+    any later pile is yielded.
+
+    The step budget holds pile by pile: the steps so far are sum(fires)
+    <= the total fires of N, which `_budget` bounds by N(n-1)/(k-1).
+    """
+    _require_at_least("top", top, 0)
+    _require_k(k)
+    chips: list[int] = []
+    fires: list[int] = []
+    steps = 0
+    deeper = 1  # repunit(n+1): the first pile with one more layer
+    for N in range(1, top + 1):
+        if N == deeper:
+            chips.append(0)
+            fires.append(0)
+            deeper = k * deeper + 1
+        chips[0] += 1
+        steps = _settle(N, k, chips, fires, steps, N * (len(chips) - 1) // (k - 1))
+        yield _result(N, k, chips, fires)
+
+
+def _settle(N: int, k: int, chips: list[int], fires: list[int], steps: int,
+            budget: int) -> int:
+    """Fire every layer holding k+1 or more chips until none does; return the steps.
+
+    `chips` and `fires` hold one vertex of each layer 1..n and are updated
+    in place.  Sweeps run from the root down, and an eligible layer fires
+    in one batch of t fires (counted as t parallel steps), which leaves it
+    with k or fewer chips.  `steps` counts on from the value passed in,
+    and raises EngineError past `budget`; a layer-n fire raises too, since
+    its chips would leave the truncated tree.
+    """
+    n = len(chips)
+    threshold = k + 1
     while True:
         progressed = False
         for i in range(n):
@@ -330,6 +386,4 @@ def simulate_layers(N: int, k: int) -> SimResult:
                 raise EngineError(f"step budget {format_int(budget)} exceeded at "
                                   f"{_pile(N, k)}")
         if not progressed:
-            break
-
-    return _result(N, k, chips, fires)
+            return steps

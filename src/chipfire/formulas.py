@@ -90,6 +90,7 @@ def root_fires(N: int, k: int) -> int:
 def root_fires_rec(N: int, k: int) -> int:
     """Root fires by the recursion f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1)."""
     _require_at_least("N", N, 0)
+    _require_k(k)
     total = 0
     x = N
     while x > 0:
@@ -123,6 +124,7 @@ def total_fires_rec(N: int, k: int) -> int:
     closed forms.
     """
     _require_at_least("N", N, 0)
+    _require_k(k)
     total = 0
     r = 0  # repunit(i)
     x = N

@@ -144,25 +144,32 @@ def test_verify_cell_derives_one_stable_configuration(monkeypatch):
     monkeypatch.setattr(numerics, "to_base", counted_to_base)
     for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
         calls.clear()
-        cli._verify_cell(N, k, [("simulate_layers", engine.simulate_layers)])
+        cli._verify_cell(N, k, [("simulate_layers", engine.simulate_layers(N, k))])
         assert len(calls) <= 1, (N, k, calls)
 
 
-def test_verify_runs_the_layer_engine_once_per_pile(monkeypatch):
-    piles = []
-    real = engine.simulate_layers
+def test_verify_runs_one_avalanche_stream_per_k(monkeypatch):
+    # each k reads one stream to its top pile; no pile is settled from scratch
+    streams, piles, layer_runs = [], [], []
+    real = engine.avalanche
 
-    def counted_simulate_layers(N, k):
-        piles.append((N, k))
-        return real(N, k)
+    def counted_avalanche(k, top):
+        streams.append((k, top))
+        for N, result in enumerate(real(k, top), 1):
+            piles.append((N, k))
+            yield result
 
-    monkeypatch.setattr(engine, "simulate_layers", counted_simulate_layers)
+    monkeypatch.setattr(engine, "avalanche", counted_avalanche)
+    monkeypatch.setattr(engine, "simulate_layers", lambda N, k: layer_runs.append((N, k)))
     for argv, top in ((["-N", "20", "--node-N", "12"], 20),  # node-level runs up to 12
                       (["-N", "8", "--node-N", "15"], 15)):  # and past -N
+        streams.clear()
         piles.clear()
         code, out, _ = run(["verify", "-k", "2..3", *argv, "--strategies", "bfs,random"])
         assert code == 0, out
+        assert streams == [(2, top), (3, top)], argv
         assert piles == [(N, k) for k in (2, 3) for N in range(1, top + 1)], argv
+    assert layer_runs == []
 
 
 def _record_simulate(monkeypatch):
@@ -260,7 +267,7 @@ def test_verify_fail_line_names_the_smallest_failing_pile(monkeypatch):
     code, out, _ = run(["verify", "-k", "2", "-N", "12", "--strategies", "bfs"])
     assert code == 1
     (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
-    assert fail == ("FAIL: total_fires(5, 2): routes disagree: simulate_layers 2, "
+    assert fail == ("FAIL: total_fires(5, 2): routes disagree: avalanche 2, "
                     "bfs seed 0 3, total_fires 2, total_fires_rec 2")
 
 
@@ -268,10 +275,15 @@ def _off_by_one(route):
     return lambda *args: route(*args) + 1
 
 
-def _break_odometer_floor(monkeypatch):
-    real = engine._odometer_floor
-    monkeypatch.setattr(engine, "_odometer_floor",
-                        lambda N, k, n: [u + 1 for u in real(N, k, n)])
+def _one_root_fire_too_many(monkeypatch):
+    real = engine._settle
+
+    def broken(N, k, chips, fires, steps, budget):
+        steps = real(N, k, chips, fires, steps, budget)
+        fires[0] += 1
+        return steps
+
+    monkeypatch.setattr(engine, "_settle", broken)
 
 
 def _wrong_fires_at_layer_2(monkeypatch):
@@ -306,7 +318,7 @@ D5000 = "1" + "0" * 4999 + "7"
                                                   _off_by_one(formulas.a_recursive))),
      "a(3, 10): routes disagree"),
     # the engine's own certificate rejects its run
-    (["verify", "-k", "2", "-N", "30"], _break_odometer_floor, "certify(1, 2): layer 1 "),
+    (["verify", "-k", "2", "-N", "30"], _one_root_fire_too_many, "certify(1, 2): layer 1 "),
     (["verify", "-k", "2..3", "-N", "60"],
      lambda mp: mp.setitem(formulas.ROUTES, "root_fires",
                            (formulas.root_fires, _off_by_one(formulas.root_fires_rec))),
@@ -572,3 +584,30 @@ def test_digit_limit_of_the_interpreter(limit):
     assert tuple(payload["fires_per_vertex"]) == profile.f
     assert payload["total_fires"] == profile.total
     assert len(str(profile.f[0])) > 640  # past the lowest limit
+
+
+def _layer_2_fires(N, k):
+    fires = engine.simulate_layers(N, k).fires_by_layer
+    return fires[1] if len(fires) > 1 else 0
+
+
+def test_a_broken_avalanche_fails_at_the_first_pile_it_breaks(monkeypatch):
+    # an avalanche that fires layer 2 twice or more fires it once more: the
+    # stream's certificate rejects the first such pile, and verify stops there
+    first = next(N for N in range(1, 100)
+                 if _layer_2_fires(N, 3) - _layer_2_fires(N - 1, 3) >= 2)
+    right = _layer_2_fires(first, 3)
+    real = engine._settle
+
+    def broken(N, k, chips, fires, steps, budget):
+        before = fires[1] if len(fires) > 1 else 0
+        steps = real(N, k, chips, fires, steps, budget)
+        if len(fires) > 1 and fires[1] - before >= 2:
+            fires[1] += 1
+        return steps
+
+    monkeypatch.setattr(engine, "_settle", broken)
+    code, out, err = run(["verify", "-k", "3", "-N", "100", "--strategies", "bfs"])
+    assert code == 1 and not err
+    assert out == (f"FAIL: certify({first}, 3): layer 2 fires {right + 1} times per "
+                   f"vertex, not {right}\n")

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from chipfire import engine
-from chipfire.engine import STRATEGIES, TreeSizeError, simulate, simulate_layers
+from chipfire.engine import STRATEGIES, TreeSizeError, avalanche, simulate, simulate_layers
 from chipfire.formulas import total_fires
 from chipfire.numerics import height_index, repunit, stable_config
 
@@ -38,6 +38,20 @@ def test_layers_matches_examples():
         assert r.fires_by_layer == (0,)
         assert r.total_fires == 0
     assert simulate_layers(repunit(4, 2), 2).root_fires == 11
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_avalanche_crosses_repunit_boundaries(k):
+    # piles 1..3000 cross repunit(n) for n = 2..4 at k = 10, and more at k = 2, 3;
+    # the stream gains its layer n exactly at pile repunit(n)
+    top = 3000
+    boundaries = [repunit(n, k) for n in range(2, 12) if repunit(n, k) <= top]
+    assert len(boundaries) >= 3
+    stream = list(avalanche(k, top))
+    assert len(stream) == top
+    assert [N for N in range(2, top + 1) if stream[N - 1].n > stream[N - 2].n] == boundaries
+    for N, result in enumerate(stream, 1):
+        assert result == simulate_layers(N, k), (N, k)
 
 
 def test_zero_chips():

@@ -307,6 +307,18 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"need N >= 0, got {NEG_TEXT}"),
     ("total_fires_rec", lambda: formulas.total_fires_rec(NEG, 2),
      f"need N >= 0, got {NEG_TEXT}"),
+    ("root_fires_rec-k1", lambda: formulas.root_fires_rec(10**3, 1),
+     "branching factor must be >= 2, got 1"),
+    ("root_fires_rec-k0", lambda: formulas.root_fires_rec(10**3, 0),
+     "branching factor must be >= 2, got 0"),
+    ("root_fires_rec-k-2", lambda: formulas.root_fires_rec(10**3, -2),
+     "branching factor must be >= 2, got -2"),
+    ("total_fires_rec-k1", lambda: formulas.total_fires_rec(10**3, 1),
+     "branching factor must be >= 2, got 1"),
+    ("total_fires_rec-k0", lambda: formulas.total_fires_rec(10**3, 0),
+     "branching factor must be >= 2, got 0"),
+    ("total_fires_rec-k-2", lambda: formulas.total_fires_rec(10**3, -2),
+     "branching factor must be >= 2, got -2"),
     ("special_root_fires", lambda: formulas.special_root_fires(NEG, 3),
      f"need n >= 1, got {NEG_TEXT}"),
     ("special_total_fires", lambda: formulas.special_total_fires(NEG, 3),
@@ -335,6 +347,10 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"need N >= 0, got {NEG_TEXT}"),
     ("simulate_layers", lambda: engine.simulate_layers(NEG, 2),
      f"need N >= 0, got {NEG_TEXT}"),
+    ("avalanche-top", lambda: next(engine.avalanche(2, NEG)),
+     f"need top >= 0, got {NEG_TEXT}"),
+    ("avalanche-k", lambda: next(engine.avalanche(NEG, 5)),
+     f"branching factor must be >= 2, got {NEG_TEXT}"),
     ("simulate-size", lambda: engine.simulate(BIG + 1, 10),
      f"N=1{'0' * 5001}, k=10 touches about {'1' * 5001} nodes (budget 10000000)"),
     ("sqrt_digits-x", lambda: schizo.sqrt_digits(NEG, 5),

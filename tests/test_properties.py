@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from chipfire import formulas
-from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, simulate,
-                             simulate_layers)
+from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, avalanche,
+                             simulate, simulate_layers)
 from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
 from chipfire.numerics import (certify, format_int, height_index, parse_int, repunit,
                                stable_config, to_base)
@@ -51,6 +51,13 @@ def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
     assert run == simulate(N, k)
     assert run == simulate_layers(N, k)
+
+
+@bounded(50)
+@given(k=st.integers(2, 64), top=st.integers(0, 1500))
+def test_avalanche_settles_every_pile_as_the_layer_engine_does(k, top):
+    stream = list(avalanche(k, top))
+    assert stream == [simulate_layers(N, k) for N in range(1, top + 1)]
 
 
 def _one_fire_per_pop(N, k, strategy, seed):
