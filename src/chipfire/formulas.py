@@ -5,7 +5,9 @@ the difference sequences a digit-replacement construction as well).  Routes
 are listed once, in `ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0` and
 `D_diff` are one call to it each) and compared by `_agree`, the package's one
 comparison of routes.  A route calls only its own family, and the engine that
-the tests check everything against imports nothing here.
+the tests check everything against imports nothing here.  Every route rejects
+k < 2 and an index below its least value itself, so a route called alone, as
+an independent reference, refuses what `crosscheck` refuses.
 
 The fire counts are written over the stable digits c_0..c_(n-1) of N and each
 is one pass over them, O(n) big-integer steps.  The fires per vertex come from
@@ -186,11 +188,15 @@ def divisibility_check(j: int, k: int) -> bool:
 
 def a_closed(n: int, k: int) -> int:
     """a(n,k) in closed form: (k^(n+1) - (k-1)n - k) / (k-1)^2."""
+    _require_at_least("n", n, 1)
+    _require_k(k)
     return exact_div(k ** (n + 1) - (k - 1) * n - k, (k - 1) ** 2)
 
 
 def a_recursive(n: int, k: int) -> int:
     """a(n,k) by the recursion a(n,k) = k*a(n-1,k) + n with a(1,k) = 1."""
+    _require_at_least("n", n, 1)
+    _require_k(k)
     a = 1
     for j in range(2, n + 1):
         a = k * a + j
@@ -203,18 +209,20 @@ def a_seq(n: int, k: int) -> int:
     These are the distinct values taken by the total-fires difference D, and
     in base k their digit strings concatenate 1, 2, ..., n for n < k.
     """
-    _require_at_least("n", n, 1)
-    _require_k(k)
     return crosscheck("a", n, k)
 
 
 def b_closed(n: int, k: int) -> int:
     """b(n,k) in closed form: (k^n ((k-1)n - 1) + 1) / (k-1)^2."""
+    _require_at_least("n", n, 1)
+    _require_k(k)
     return exact_div(k**n * ((k - 1) * n - 1) + 1, (k - 1) ** 2)
 
 
 def b_recursive(n: int, k: int) -> int:
     """b(n,k) by the recursion b(n,k) = n*k^(n-1) + b(n-1,k) with b(1,k) = 1."""
+    _require_at_least("n", n, 1)
+    _require_k(k)
     b = 1
     p = 1  # k^(j-1), kept as a running power
     for j in range(2, n + 1):
@@ -229,8 +237,6 @@ def b_seq(n: int, k: int) -> int:
     Partial sums of b reproduce special_total_fires with the index shifted by
     one: sum(b(1..n)) == special_total_fires(n+1, k).
     """
-    _require_at_least("n", n, 1)
-    _require_k(k)
     return crosscheck("b", n, k)
 
 
@@ -254,6 +260,7 @@ def d0_recursive(m: int, k: int) -> int:
     The chain bottoms out at d0(0) = 0 (both g0(1) and g0(0) vanish).
     """
     _require_at_least("m", m, 1)
+    _require_k(k)
     depth = 0
     while m > 0 and (m - 1) % k == 0:
         depth += 1
@@ -269,6 +276,7 @@ def d0_by_replacement(count: int, k: int) -> list[int]:
     nothing.
     """
     _require_at_least("count", count, 1)
+    _require_k(k)
     seq = [1] * count
     x = 2
     while True:
@@ -293,6 +301,7 @@ def d0(m: int, k: int) -> int:
 def D_recursive(m: int, k: int) -> int:
     """Total-fires difference via D(m) = d0(m) + k*D((m-1)/k) when k | m-1."""
     _require_at_least("m", m, 1)
+    _require_k(k)
     total = 0
     weight = 1
     x = m

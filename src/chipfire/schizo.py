@@ -10,12 +10,12 @@ never rewrites them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import isqrt
 
 from .formulas import a_seq
-from .numerics import (DigitString, _require_at_least, _require_k, format_int,
-                       to_base)
+from .numerics import DigitString, _require_at_least, _require_k, format_int, to_base
 
 DEFAULT_MIN_RUN = 4
 
@@ -46,13 +46,10 @@ class BlockReport:
 
 
 def _split_dump(subject: str, scaled: int, precision: int, radix: int) -> DigitDump:
-    digits = to_base(scaled, radix).digits
-    # at least one integer digit: a value below 1 dumps as 0.xxx
-    digits = (0,) * (precision + 1 - len(digits)) + digits
-    return DigitDump(subject=subject,
-                     int_part=DigitString(radix=radix, digits=digits[:-precision]),
-                     frac_part=DigitString(radix=radix, digits=digits[-precision:]),
-                     precision=precision)
+    whole, frac = divmod(scaled, radix**precision)
+    # a value below 1 dumps as 0.xxx: the shortest expansion of 0 is one 0
+    return DigitDump(subject=subject, int_part=to_base(whole, radix),
+                     frac_part=to_base(frac, radix, precision), precision=precision)
 
 
 def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
@@ -60,6 +57,7 @@ def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
 
     Computes isqrt(x * radix^(2p)), which is exactly floor(sqrt(x) * radix^p).
     """
+    _require_at_least("radix", radix, 2)
     _require_at_least("x", x, 1)
     _require_at_least("precision", precision, 1)
     scale = radix**precision
@@ -73,6 +71,7 @@ def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
     floor(radix^p / sqrt(x)) equals isqrt(floor(radix^(2p) / x)) because
     floor(sqrt(floor(y))) == floor(sqrt(y)) for y >= 0.
     """
+    _require_at_least("radix", radix, 2)
     _require_at_least("x", x, 1)
     _require_at_least("precision", precision, 1)
     scale = radix**precision
@@ -90,20 +89,18 @@ def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> BlockReport
     perfect square dumps as x.000...0 and reports no blocks.
     """
     _require_at_least("min_run", min_run, 2)
-    stream = dump.int_part.digits + dump.frac_part.digits
+    digits = dump.int_part.digits + dump.frac_part.digits
     point = len(dump.int_part.digits)
-    blocks = []
-    i = 0
-    while i < len(stream):
-        j = i
-        while j < len(stream) and stream[j] == stream[i]:
-            j += 1
-        if j == len(stream):
-            break
-        if j - i >= min_run:
-            blocks.append(Block(digit=stream[i], start=i - point, length=j - i))
-        i = j
-    return BlockReport(blocks=tuple(blocks))
+    # one code point per distinct digit fits any radix in a str; DOTALL lets
+    # "." match the digit that becomes "\n".  No run is longer than the text,
+    # so a longer min_run is cut to that, within the regex repeat limit.
+    code = {d: chr(i) for i, d in enumerate(set(digits))}
+    text = "".join(map(code.__getitem__, digits))
+    least = min(min_run, len(text) + 1)
+    runs = re.finditer(rf"(.)\1{{{least - 1},}}", text, re.DOTALL)
+    return BlockReport(blocks=tuple(
+        Block(digit=digits[m.start()], start=m.start() - point, length=m.end() - m.start())
+        for m in runs if m.end() < len(text)))
 
 
 @dataclass(frozen=True)

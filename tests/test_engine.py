@@ -1,5 +1,4 @@
 import ast
-import os
 
 import pytest
 
@@ -7,8 +6,6 @@ from chipfire import engine
 from chipfire.engine import STRATEGIES, TreeSizeError, avalanche, simulate, simulate_layers
 from chipfire.formulas import total_fires
 from chipfire.numerics import height_index, repunit, stable_config
-
-FULL = os.environ.get("CHIPFIRE_FULL") == "1"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -82,24 +79,18 @@ def test_confluence_small_grid():
 
 
 def test_node_matches_layers_and_stable_config():
-    cases = []
-    upper = 3000 if FULL else 300
+    cases = [(N, k) for k in range(2, 7) for N in range(1, 301)]
+    # boundary-heavy extras around repunits up to 3000; CI's
+    # `verify -k 2..6 -N 3000 --node-N 3000` runs every pile up to 3000
     for k in range(2, 7):
-        for N in range(1, upper + 1):
-            if repunit(height_index(N, k), k) > 10**6:
-                continue
-            cases.append((N, k))
-    # boundary-heavy extras around repunits up to 3000 in the default run
-    if not FULL:
-        for k in range(2, 7):
-            n = 2
-            while repunit(n, k) <= 3000:
-                r = repunit(n, k)
-                for N in (r - 1, r, r + 1):
-                    if 1 <= N <= 3000:
-                        cases.append((N, k))
-                n += 1
-        cases += [(N, k) for k in range(2, 7) for N in range(301, 3001, 97)]
+        n = 2
+        while repunit(n, k) <= 3000:
+            r = repunit(n, k)
+            for N in (r - 1, r, r + 1):
+                if 1 <= N <= 3000:
+                    cases.append((N, k))
+            n += 1
+    cases += [(N, k) for k in range(2, 7) for N in range(301, 3001, 97)]
     for N, k in cases:
         node = simulate(N, k)
         layer = simulate_layers(N, k)

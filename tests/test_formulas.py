@@ -341,3 +341,45 @@ def test_input_validation():
         divisibility_check(-1, 3)
     with pytest.raises(ValueError):
         formulas.root_fires_rec(-1, 2)
+
+
+# every route, called directly as an independent reference: (valid args, an index
+# below its least, the message for that index); k is always the second argument
+_NO_HEIGHT = "height index is undefined for N = 0; need N >= 1"
+ROUTE_CHECKS = {
+    formulas.a_closed: ((5, 3), 0, "need n >= 1, got 0"),
+    formulas.a_recursive: ((5, 3), 0, "need n >= 1, got 0"),
+    formulas.b_closed: ((5, 3), 0, "need n >= 1, got 0"),
+    formulas.b_recursive: ((5, 3), 0, "need n >= 1, got 0"),
+    d0_formula: ((13, 3), 0, "need m >= 1, got 0"),
+    d0_recursive: ((13, 3), 0, "need m >= 1, got 0"),
+    formulas.D_via_a_seq: ((13, 3), 0, "need m >= 1, got 0"),
+    formulas.D_recursive: ((13, 3), 0, "need m >= 1, got 0"),
+    formulas.D_explicit: ((13, 3), 0, "need m >= 1, got 0"),
+    root_fires: ((40, 3), 0, _NO_HEIGHT),
+    total_fires: ((40, 3), 0, _NO_HEIGHT),
+    # the recursions are defined at N = 0, where nothing fires
+    root_fires_rec: ((40, 3), -1, "need N >= 0, got -1"),
+    total_fires_rec: ((40, 3), -1, "need N >= 0, got -1"),
+    vertex_fires: ((40, 3, 1), 0, _NO_HEIGHT),
+    vertex_fires_via_root: ((40, 3, 1), 0, _NO_HEIGHT),
+    d0_by_replacement: ((20, 3), 0, "need count >= 1, got 0"),
+}
+
+
+def test_route_checks_cover_every_route():
+    assert set(ROUTE_CHECKS) == {r for routes in ROUTES.values() for r in routes} | {
+        d0_by_replacement}
+
+
+@pytest.mark.parametrize("route", ROUTE_CHECKS, ids=lambda r: r.__name__)
+def test_every_route_rejects_a_bad_k_and_index_itself(route):
+    args, index, message = ROUTE_CHECKS[route]
+    route(*args)
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError) as exc:
+            route(args[0], k, *args[2:])
+        assert str(exc.value) == f"branching factor must be >= 2, got {k}"
+    with pytest.raises(ValueError) as exc:
+        route(index, *args[1:])
+    assert str(exc.value) == message

@@ -361,10 +361,16 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"need x >= 1, got {NEG_TEXT}"),
     ("inv_sqrt_digits-precision", lambda: schizo.inv_sqrt_digits(5, NEG),
      f"need precision >= 1, got {NEG_TEXT}"),
+    ("sqrt_digits-radix", lambda: schizo.sqrt_digits(5, 3, radix=NEG),
+     f"need radix >= 2, got {NEG_TEXT}"),
+    ("inv_sqrt_digits-radix", lambda: schizo.inv_sqrt_digits(5, 3, radix=NEG),
+     f"need radix >= 2, got {NEG_TEXT}"),
     ("block_report", lambda: schizo.block_report(schizo.sqrt_digits(2, 5), NEG),
      f"need min_run >= 2, got {NEG_TEXT}"),
     ("schizo_survey", lambda: schizo.schizo_survey(3, NEG, 5),
      f"need n_max >= 1, got {NEG_TEXT}"),
+    ("schizo_survey-radix", lambda: schizo.schizo_survey(3, 5, 5, radix=NEG),
+     f"need radix >= 2, got {NEG_TEXT}"),
     ("generate-count", lambda: generate(SequenceId("g0", 3), count=NEG),
      f"need count >= 1, got {NEG_TEXT}"),
     ("generate-start", lambda: generate(SequenceId("g0", 3), start=NEG),

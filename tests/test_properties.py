@@ -25,9 +25,10 @@ from chipfire import formulas
 from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, avalanche,
                              simulate, simulate_layers)
 from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
-from chipfire.numerics import (certify, format_int, height_index, parse_int, repunit,
-                               stable_config, to_base)
-from chipfire.schizo import inv_sqrt_digits, sqrt_digits
+from chipfire.numerics import (DigitString, certify, format_int, height_index, parse_int,
+                               repunit, stable_config, to_base)
+from chipfire.schizo import (Block, BlockReport, DigitDump, block_report, inv_sqrt_digits,
+                             sqrt_digits)
 from chipfire.sequences import (SequenceId, SequenceWindow, difference, emit_bfile,
                                 emit_csv, emit_json, generate)
 from golden.make_cli_transcript import run
@@ -388,6 +389,48 @@ def test_decimal_text_round_trips_across_the_digit_limit(n, seed, negative):
 def test_digit_dumps_extend_without_rewriting(x, p, q, radix):
     for dump in (sqrt_digits, inv_sqrt_digits):
         assert str(dump(x, p + q, radix)).startswith(str(dump(x, p, radix)))
+
+
+def _blocks_one_digit_at_a_time(dump, min_run):
+    # the per-digit walk that the regex scan replaced, kept as the reference
+    stream = dump.int_part.digits + dump.frac_part.digits
+    point = len(dump.int_part.digits)
+    blocks = []
+    i = 0
+    while i < len(stream):
+        j = i
+        while j < len(stream) and stream[j] == stream[i]:
+            j += 1
+        if j == len(stream):
+            break
+        if j - i >= min_run:
+            blocks.append(Block(digit=stream[i], start=i - point, length=j - i))
+        i = j
+    return BlockReport(blocks=tuple(blocks))
+
+
+@st.composite
+def digit_dumps(draw):
+    # runs of drawn lengths, so that blocks of 2..6 are common, equal neighbours
+    # merge, and runs touch both ends and cross the point; with 11 distinct
+    # digits one of them is written as "\n", and 2^40 is past every code point
+    radix = draw(st.sampled_from([*range(2, 17), 2**40]), label="radix")
+    digit = st.integers(0, radix - 1)
+    if radix > 16:  # equal neighbours, and digit 10, as often as in a small radix
+        digit = st.sampled_from([0, 10, radix - 1]) | digit
+    count = draw(st.integers(2, 40), label="runs")  # lists alone draw few runs
+    runs = draw(st.lists(st.tuples(digit, st.integers(1, 8)), min_size=count, max_size=count))
+    stream = tuple(d for d, length in runs for _ in range(length))
+    point = draw(st.integers(1, len(stream) - 1), label="integer digits")
+    return DigitDump(subject="x", int_part=DigitString(radix=radix, digits=stream[:point]),
+                     frac_part=DigitString(radix=radix, digits=stream[point:]),
+                     precision=len(stream) - point)
+
+
+@bounded(150)
+@given(dump=digit_dumps(), min_run=st.integers(2, 6))
+def test_block_scan_equals_the_per_digit_walk(dump, min_run):
+    assert block_report(dump, min_run) == _blocks_one_digit_at_a_time(dump, min_run)
 
 
 @bounded(60)

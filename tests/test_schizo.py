@@ -119,6 +119,15 @@ def test_block_report_edge_cases():
         block_report(distinct, min_run=1)
 
 
+def test_block_report_min_run_as_long_as_the_dump():
+    ones = DigitDump(subject="x", int_part=DigitString(10, (1, 1, 1, 1)),
+                     frac_part=DigitString(10, (2,)), precision=1)
+    assert block_report(ones, min_run=4).blocks == (Block(digit=1, start=-4, length=4),)
+    # no run outlasts the dump, so a longer min_run, past the regex repeat limit
+    # too, finds nothing
+    for min_run in (5, 6, 10**30):
+        assert block_report(ones, min_run=min_run).blocks == ()
+
 def test_survey_covers_examples():
     entries = schizo_survey(10, 11, 60, min_run=4)
     assert [e.n for e in entries] == [1, 3, 5, 7, 9, 11]
