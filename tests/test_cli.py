@@ -278,8 +278,8 @@ def _off_by_one(route):
 def _one_root_fire_too_many(monkeypatch):
     real = engine._settle
 
-    def broken(N, k, chips, fires, steps, budget):
-        steps = real(N, k, chips, fires, steps, budget)
+    def broken(N, k, chips, fires, stack, steps, budget):
+        steps = real(N, k, chips, fires, stack, steps, budget)
         fires[0] += 1
         return steps
 
@@ -599,9 +599,9 @@ def test_a_broken_avalanche_fails_at_the_first_pile_it_breaks(monkeypatch):
     right = _layer_2_fires(first, 3)
     real = engine._settle
 
-    def broken(N, k, chips, fires, steps, budget):
+    def broken(N, k, chips, fires, stack, steps, budget):
         before = fires[1] if len(fires) > 1 else 0
-        steps = real(N, k, chips, fires, steps, budget)
+        steps = real(N, k, chips, fires, stack, steps, budget)
         if len(fires) > 1 and fires[1] - before >= 2:
             fires[1] += 1
         return steps

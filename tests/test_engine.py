@@ -124,6 +124,25 @@ def test_a_truncated_tree_refuses_to_fire_its_last_layer(monkeypatch, strategy):
         simulate(N, k, strategy=strategy)
 
 
+def test_the_layer_engine_counts_a_batch_of_t_fires_as_t_steps(monkeypatch):
+    # its steps run on from the seed's fires to sum(fires_by_layer) = 350
+    N, k = 200, 2
+    n, _ = engine._budget(N, k)
+    steps = sum(simulate_layers(N, k).fires_by_layer)
+    monkeypatch.setattr(engine, "_budget", lambda N, k: (n, steps - 1))
+    with pytest.raises(engine.EngineError, match=r"^step budget 349 exceeded at N=200, k=2$"):
+        simulate_layers(N, k)
+
+
+def test_a_truncated_tree_refuses_to_fire_the_last_layer_of_the_layer_engine(monkeypatch):
+    N, k = 200, 2
+    n = height_index(N, k)
+    monkeypatch.setattr(engine, "height_index", lambda N, k: n - 1)
+    with pytest.raises(engine.EngineError,
+                       match=r"^layer 6 would fire \(N=200, k=2\); .* truncated tree$"):
+        simulate_layers(N, k)
+
+
 @pytest.mark.parametrize("wrong,named", [
     (lambda stable, by_layer: (stable, by_layer[:1] + [by_layer[1] + 1] + by_layer[2:]),
      r"certify\(200, 2\): layer 2 fires 92 times per vertex, not 91$"),

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from chipfire import formulas
+from chipfire import engine, formulas
 from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, avalanche,
                              simulate, simulate_layers)
 from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
@@ -163,6 +163,39 @@ def test_seeded_layer_engine_equals_the_unseeded_batch_loop(N, k):
 @deep_piles
 def test_seeded_layer_engine_equals_the_unseeded_batch_loop_on_deep_piles(N, k):
     _assert_seeded_run_is_unseeded_run(N, k)
+
+
+class _CountingStack(list):
+    pops = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
+
+
+@deep_piles
+def test_the_layer_engine_fires_few_batches_on_deep_piles(monkeypatch, N, k):
+    # deepest eligible layer first: measured at most 0.107 n^2 batches here,
+    # where root-down sweeps of every layer fired 0.24 n^2 or more
+    real = engine._settle
+    stacks = []
+
+    def counting(N, k, chips, fires, stack, steps, budget):
+        stacks.append(_CountingStack(stack))
+        return real(N, k, chips, fires, stacks[-1], steps, budget)
+
+    monkeypatch.setattr(engine, "_settle", counting)
+    n = simulate_layers(N, k).n
+    (stack,) = stacks
+    assert 100 * stack.pops <= 12 * n * n
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_layer_engine_equals_the_closed_forms_at_1000_digits(k):
+    N = random.Random(1000 * k).randrange(10**999, 10**1000)
+    run = simulate_layers(N, k)
+    assert run.fires_by_layer == fire_profile(N, k).f
+    assert run.stable_chips == stable_config(N, k).c
 
 
 def _assert_seed_is_a_close_lower_bound(N, k):
