@@ -3,7 +3,8 @@
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
 parsed, and every integer printed, by `numerics.parse_int` and
 `numerics.format_int`, so no integer is too long.  `stable` and `fires`
-pass their answer through `numerics.certify` before printing it.  Exit
+pass their answer through `numerics.certify` before printing it, and the
+total that `fires` prints is the one the certificate returns.  Exit
 codes: 0 success, 1 routes, or the engine and a formula, disagreed, or an
 answer failed its certificate, in any subcommand (one `FAIL:` line, no
 traceback), 2 usage error, 141 standard output closed early.
@@ -69,24 +70,25 @@ def cmd_stable(args) -> int:
 
 def cmd_fires(args) -> int:
     profile = formulas.fire_profile(args.N, args.k)
-    numerics.certify(args.N, args.k, numerics.stable_config(args.N, args.k).c, profile.f)
+    total = numerics.certify(args.N, args.k, numerics.stable_config(args.N, args.k).c,
+                             profile.f)
     if args.format == "json":
         print(sequences.json_text({"N": args.N, "k": args.k, "n": profile.n,
                                    "fires_per_vertex": profile.f,
                                    "root_fires": profile.f[0],
-                                   "total_fires": profile.total}))
+                                   "total_fires": total}))
     elif args.format == "csv":
         print("layer,fires_per_vertex")
         for i, f in enumerate(profile.f, 1):
             print(f"{format_int(i)},{format_int(f)}")
-        print(f"total,{format_int(profile.total)}")
+        print(f"total,{format_int(total)}")
     else:
         print(f"N = {format_int(args.N)}  k = {format_int(args.k)}  "
               f"n = {format_int(profile.n)}")
         for i, f in enumerate(profile.f, 1):
             print(f"layer {format_int(i)}: {format_int(f)} fires per vertex")
         print(f"root fires = {format_int(profile.f[0])}")
-        print(f"total fires = {format_int(profile.total)}")
+        print(f"total fires = {format_int(total)}")
     return 0
 
 

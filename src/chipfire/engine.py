@@ -47,11 +47,12 @@ Two engines are provided:
     pile N-1 plus one chip at the root, settled from a stack holding only
     the root, and a layer is added when N reaches repunit(n+1).
 
-Both engines end in `_result`, which passes the chips and fires per layer
-through `numerics.certify`, the odometer certificate, so no wrong outcome
-leaves either engine, and in the avalanche no pile after a wrong one is
-yielded.  Neither engine imports `formulas`; `_budget` proves their step
-budget.
+Both engines take piles of N >= 1 chips, the domain of the height index,
+and end in `_result`, which passes the chips and fires per layer through
+`numerics.certify`, the odometer certificate, and takes the total fires
+from it.  So no wrong outcome leaves either engine, and in the avalanche no
+pile after a wrong one is yielded.  Neither engine imports `formulas`;
+`_budget` proves their step budget.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class SimResult:
 
 
 def _budget(N: int, k: int) -> tuple[int, int]:
-    """Check N and k; return the height index n of N and the step budget.
+    """The height index n of N and the step budget; `height_index` checks N and k.
 
     No run fires more than N(n-1)/(k-1) times.  Let Phi be the sum of chip
     depths, the root at depth 0.  A fire at depth d > 0 moves one chip up and
@@ -114,9 +115,7 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     because both engines refuse to fire a layer-n vertex, so Phi <= N(n-1)
     throughout.  Each engine's step counter counts at most the total fires.
     """
-    _require_at_least("N", N, 0)
-    _require_k(k)
-    n = height_index(N, k) if N else 0
+    n = height_index(N, k)
     return n, N * (n - 1) // (k - 1)
 
 
@@ -125,16 +124,12 @@ def _result(N: int, k: int, stable: list[int], by_layer: list[int]) -> SimResult
 
     `certify` raises AssertionError unless they are the unique stable
     configuration of N and its odometer, which also proves chips conserved
-    and every layer stable and reached.  Root and total fires follow from
-    the layer fires.
+    and every layer stable and reached, and returns the total fires.
     """
-    certify(N, k, stable, by_layer)
-    total = 0
-    for f in reversed(by_layer):  # sum of f_i.k^i, by Horner's rule
-        total = total * k + f
+    total = certify(N, k, stable, by_layer)
     return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
-                     fires_by_layer=tuple(by_layer),
-                     root_fires=by_layer[0] if by_layer else 0, total_fires=total)
+                     fires_by_layer=tuple(by_layer), root_fires=by_layer[0],
+                     total_fires=total)
 
 
 def _pile(N: int, k: int) -> str:
@@ -187,8 +182,7 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
     last = size // k  # repunit(n - 1): the first vertex of layer n
     chips = [0] * size
     fires = [0] * size
-    if N:
-        chips[0] = N
+    chips[0] = N
     heap = [(key(0, N), N, 0)] if N >= threshold else []
 
     steps = 0
@@ -316,8 +310,7 @@ def simulate_layers(N: int, k: int) -> SimResult:
     # the root is its own parent through the self-loop; nothing fires below layer n
     u = fires[:1] + fires + [0]
     chips = [u[i] - (k + 1) * u[i + 1] + k * u[i + 2] for i in range(n)]
-    if N:
-        chips[0] += N
+    chips[0] += N
     stack = [i for i, count in enumerate(chips) if count > k]
     _settle(N, k, chips, fires, stack, sum(fires), budget)
     return _result(N, k, chips, fires)

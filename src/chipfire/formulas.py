@@ -35,13 +35,12 @@ from .numerics import (_require_at_least, _require_k, exact_div, format_int,
 
 @dataclass(frozen=True)
 class FireProfile:
-    """Fires per vertex by layer plus the grand total for one pile."""
+    """Fires per vertex by layer for one pile."""
 
     N: int
     k: int
     n: int
     f: tuple[int, ...]
-    total: int
 
 
 def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
@@ -91,7 +90,7 @@ def root_fires(N: int, k: int) -> int:
 
 def root_fires_rec(N: int, k: int) -> int:
     """Root fires by the recursion f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1)."""
-    _require_at_least("N", N, 0)
+    _require_at_least("N", N, 1)
     _require_k(k)
     total = 0
     x = N
@@ -125,7 +124,7 @@ def total_fires_rec(N: int, k: int) -> int:
     r = k*r + 1.  It calls no other route and stays independent of the
     closed forms.
     """
-    _require_at_least("N", N, 0)
+    _require_at_least("N", N, 1)
     _require_k(k)
     total = 0
     r = 0  # repunit(i)
@@ -138,18 +137,13 @@ def total_fires_rec(N: int, k: int) -> int:
 
 
 def fire_profile(N: int, k: int) -> FireProfile:
-    """All per-layer fire counts and the total, in O(n) steps.
+    """All per-layer fire counts, by the difference recurrences in O(n) steps.
 
-    f comes from the difference recurrences.  Each of the k^i vertices on
-    layer i+1 fires f_i times, so the total is sum f_i k^i, a Horner sum over
-    f; the total_fires closed form stays a separate route.
+    Their total, sum f_i k^i over the k^i vertices of each layer, is what
+    `numerics.certify` returns once it has proven f.
     """
     cfg = stable_config(N, k)
-    f = _fires_by_layer(cfg.c, k)
-    total = 0
-    for fi in reversed(f):
-        total = total * k + fi
-    return FireProfile(N=N, k=k, n=cfg.n, f=tuple(f), total=total)
+    return FireProfile(N=N, k=k, n=cfg.n, f=tuple(_fires_by_layer(cfg.c, k)))
 
 
 # --- the all-ones pile N = repunit(n, k) -----------------------------------

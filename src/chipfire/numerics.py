@@ -18,8 +18,10 @@ Every `need X >= lo, got v` check is one `_require_at_least` call, and every
 integer in a message goes through `format_int`.
 
 `certify` is the odometer certificate: an O(n) proof that given chips and
-fires per layer are a pile's outcome.  Every engine run and every `stable`
-and `fires` answer of the CLI passes through it.
+fires per layer are a pile's outcome, which returns the pile's total fires.
+Every engine run and every `stable` and `fires` answer of the CLI passes
+through it, and every total fires that an engine returns or the CLI prints
+is its sum.
 """
 
 from __future__ import annotations
@@ -83,20 +85,12 @@ class StableConfig:
 
     `c[i]` is the chip count on every vertex of layer i+1 (root = layer 1);
     each entry lies in 1..k and sum(c[i] * k^i) recovers the initial pile.
+    `stable_config` builds it from the n digits that `to_base` has checked.
     """
 
     k: int
     n: int
     c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_k(self.k)
-        if self.n != len(self.c):
-            raise ValueError("height index does not match layer count")
-        for ci in self.c:
-            if not 1 <= ci <= self.k:
-                raise ValueError(f"per-vertex count {format_int(ci)} outside "
-                                 f"1..{format_int(self.k)}")
 
 
 def repunit(n: int, k: int) -> int:
@@ -250,12 +244,13 @@ def _certifying(N: int, k: int) -> str:
     return f"certify({format_int(N)}, {format_int(k)})"
 
 
-def certify(N: int, k: int, c, f=None) -> None:
+def certify(N: int, k: int, c, f=None) -> int | None:
     """Prove that N chips stabilize to c per vertex by layer, firing f; else raise.
 
     The odometer certificate: O(n) big-integer steps, no simulation and no
     closed form.  A failure raises AssertionError naming a layer whose
-    equation fails and the pile.
+    equation fails and the pile.  With f it returns the total fires,
+    sum f_i.k^i over the k^i vertices of each layer; without f, None.
 
     With f: every c_i lies in 1..k, the last layer does not fire,
     f_(n-1) = 0, and N.e0 - L.f = c, where L is the layer matrix of
@@ -272,7 +267,7 @@ def certify(N: int, k: int, c, f=None) -> None:
     exact form.  Row i > 0 reads f_(i-1) - f_i = c_i + k.(f_i - f_(i+1)),
     so the rows are checked from the last layer up as differences, each
     fixing the fires of the layer above it; one wrong fire count is named
-    at its own layer.
+    at its own layer.  The same loop sums the total by Horner's rule.
 
     Without f: c_i in 1..k and sum c_i.k^i = N, which by the same
     uniqueness make c the stable configuration.  The sum is Horner's rule
@@ -307,18 +302,21 @@ def certify(N: int, k: int, c, f=None) -> None:
         if N:
             raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
                                  "are left for layer 1")
-        return
+        return 0
     if f[-1]:
         raise AssertionError(f"{_certifying(N, k)}: layer {format_int(n)} fires "
                              f"{format_int(f[-1])} times per vertex, not 0")
     delta = 0  # f_i - f_(i+1), from i = n-1 up
+    total = 0  # Horner's rule over f from the last layer up; f_(n-1) = 0 adds nothing
     for i in range(n - 1, 0, -1):
         delta = c[i] + k * delta  # row i fixes f_(i-1) - f_i
         if f[i - 1] - f[i] != delta:
             raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i)} fires "
                                  f"{format_int(f[i - 1])} times per vertex, "
                                  f"not {format_int(f[i] + delta)}")
+        total = total * k + f[i - 1]
     if N - k * delta != c[0]:  # row 0, with delta = f_0 - f_1
         raise AssertionError(f"{_certifying(N, k)}: layer 1 ends with "
                              f"{format_int(N - k * delta)} chips per vertex, "
                              f"not {format_int(c[0])}")
+    return total

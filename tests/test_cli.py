@@ -437,7 +437,7 @@ def test_fires_past_the_digit_limit(fmt):
     elif fmt == "csv":
         rows = [line.split(",") for line in lines[1:]]
         assert tuple(parse_int(f) for _, f in rows[:-1]) == profile.f
-        assert rows[-1] == ["total", format_int(profile.total)]
+        assert rows[-1] == ["total", format_int(formulas.total_fires_rec(BIG_N, BIG_K))]
     else:
         assert lines[0] == f"N = {BIG_N_TEXT}  k = {BIG_K_TEXT}  n = 5"
         assert parse_int(lines[-1].split(" = ")[1]) == formulas.total_fires_rec(BIG_N, BIG_K)
@@ -582,7 +582,7 @@ def test_digit_limit_of_the_interpreter(limit):
     profile = formulas.fire_profile(N, 10)
     assert (payload["N"], payload["k"], payload["n"]) == (N, 10, profile.n)
     assert tuple(payload["fires_per_vertex"]) == profile.f
-    assert payload["total_fires"] == profile.total
+    assert payload["total_fires"] == formulas.total_fires_rec(N, 10)
     assert len(str(profile.f[0])) > 640  # past the lowest limit
 
 
@@ -594,7 +594,7 @@ def _layer_2_fires(N, k):
 def test_a_broken_avalanche_fails_at_the_first_pile_it_breaks(monkeypatch):
     # an avalanche that fires layer 2 twice or more fires it once more: the
     # stream's certificate rejects the first such pile, and verify stops there
-    first = next(N for N in range(1, 100)
+    first = next(N for N in range(2, 100)
                  if _layer_2_fires(N, 3) - _layer_2_fires(N - 1, 3) >= 2)
     right = _layer_2_fires(first, 3)
     real = engine._settle
@@ -611,3 +611,23 @@ def test_a_broken_avalanche_fails_at_the_first_pile_it_breaks(monkeypatch):
     assert code == 1 and not err
     assert out == (f"FAIL: certify({first}, 3): layer 2 fires {right + 1} times per "
                    f"vertex, not {right}\n")
+
+
+def test_every_total_is_the_certificates_sum(monkeypatch):
+    # the engines and `fires` take the total fires from `certify`, so one wrong
+    # sum there reaches both; verify holds it to the formula routes
+    real = numerics.certify
+
+    def one_too_many(N, k, c, f=None):
+        total = real(N, k, c, f)
+        return None if f is None else total + 1
+
+    monkeypatch.setattr(engine, "certify", one_too_many)
+    code, out, err = run(["verify", "-k", "2", "-N", "3"])
+    assert code == 1 and not err
+    assert out == ("FAIL: total_fires(1, 2): routes disagree: avalanche 1, "
+                   "total_fires 0, total_fires_rec 0\n")
+    monkeypatch.setattr(numerics, "certify", one_too_many)
+    code, out, _ = run(["fires", "-N", "16", "-k", "2"])
+    assert code == 0
+    assert out.endswith(f"total fires = {formulas.total_fires_rec(16, 2) + 1}\n")

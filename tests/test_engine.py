@@ -51,12 +51,12 @@ def test_avalanche_crosses_repunit_boundaries(k):
         assert result == simulate_layers(N, k), (N, k)
 
 
-def test_zero_chips():
+def test_both_engines_reject_the_empty_pile():
+    # N >= 1 is the domain of the height index, of every pile route and of the CLI
     for sim in (simulate, simulate_layers):
-        r = sim(0, 3)
-        assert r.n == 0
-        assert r.stable_chips == ()
-        assert r.total_fires == 0
+        with pytest.raises(ValueError) as exc:
+            sim(0, 3)
+        assert str(exc.value) == "height index is undefined for N = 0; need N >= 1"
 
 
 def test_step_counters():
@@ -71,7 +71,7 @@ def test_step_counters():
 
 def test_confluence_small_grid():
     for k in (2, 3, 4):
-        for N in range(0, 81):
+        for N in range(1, 81):
             runs = [simulate(N, k, strategy=s, seed=seed)
                     for s in STRATEGIES for seed in range(3)]
             assert all(r == runs[0] for r in runs[1:]), (N, k)

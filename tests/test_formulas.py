@@ -100,8 +100,6 @@ def test_root_fires_examples():
 
 
 def test_root_fires_recursion():
-    assert root_fires_rec(0, 2) == 0
-    assert root_fires_rec(0, 9) == 0
     assert root_fires_rec(9, 3) == 2
     assert root_fires_rec(20, 2) == 14
 
@@ -115,7 +113,6 @@ def test_total_fires_examples():
 
 
 def test_total_fires_recursion():
-    assert total_fires_rec(0, 5) == 0
     assert total_fires_rec(24, 4) == 10
     assert total_fires_rec(12, 2) == 11
 
@@ -144,17 +141,17 @@ def test_block_constancy():
         for a in range(0, 60):
             base = fire_profile(a * k + 1, k)
             for N in range(a * k + 2, (a + 1) * k + 1):
-                p = fire_profile(N, k)
-                assert p.f == base.f and p.total == base.total, (N, k)
+                assert fire_profile(N, k).f == base.f, (N, k)
+                assert total_fires(N, k) == total_fires(a * k + 1, k), (N, k)
 
 
 def test_fire_profile_shape():
     p = fire_profile(9, 3)
     assert p.f == (2, 0)
-    assert p.total == 2
+    assert total_fires(9, 3) == 2
     assert p.f[-1] == 0
     assert all(x >= y for x, y in zip(p.f, p.f[1:]))
-    assert p.total == sum(f * p.k**i for i, f in enumerate(p.f))
+    assert total_fires_rec(9, 3) == sum(f * p.k**i for i, f in enumerate(p.f))
 
 
 def test_fire_profile_takes_the_linear_path(monkeypatch):
@@ -174,7 +171,7 @@ def test_fire_profile_takes_the_linear_path(monkeypatch):
     p = fire_profile(N, 3)
     sim = simulate_layers(N, 3)
     assert p.f == sim.fires_by_layer
-    assert p.total == sim.total_fires
+    assert total_fires(N, 3) == sim.total_fires
 
 
 def test_special_vertex_fires():
@@ -358,9 +355,8 @@ ROUTE_CHECKS = {
     formulas.D_explicit: ((13, 3), 0, "need m >= 1, got 0"),
     root_fires: ((40, 3), 0, _NO_HEIGHT),
     total_fires: ((40, 3), 0, _NO_HEIGHT),
-    # the recursions are defined at N = 0, where nothing fires
-    root_fires_rec: ((40, 3), -1, "need N >= 0, got -1"),
-    total_fires_rec: ((40, 3), -1, "need N >= 0, got -1"),
+    root_fires_rec: ((40, 3), 0, "need N >= 1, got 0"),
+    total_fires_rec: ((40, 3), 0, "need N >= 1, got 0"),
     vertex_fires: ((40, 3, 1), 0, _NO_HEIGHT),
     vertex_fires_via_root: ((40, 3, 1), 0, _NO_HEIGHT),
     d0_by_replacement: ((20, 3), 0, "need count >= 1, got 0"),

@@ -8,7 +8,6 @@ import chipfire
 from chipfire import engine, formulas, schizo
 from chipfire.numerics import (
     DigitString,
-    StableConfig,
     certify,
     exact_div,
     height_index,
@@ -197,13 +196,6 @@ def test_digit_string_validation():
     assert str(DigitString(radix=16, digits=(15, 0, 10))) == "f0a"
 
 
-def test_stable_config_validation():
-    with pytest.raises(ValueError):
-        StableConfig(k=3, n=2, c=(0, 1))
-    with pytest.raises(ValueError):
-        StableConfig(k=3, n=1, c=(1, 1))
-
-
 def test_exact_div():
     assert exact_div(72, 6) == 12
     with pytest.raises(ArithmeticError):
@@ -289,8 +281,6 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"need radix >= 2, got {NEG_TEXT}"),
     ("DigitString-digit", lambda: DigitString(radix=10, digits=(BIG,)),
      f"digit {BIG_TEXT} out of range for radix 10"),
-    ("StableConfig", lambda: StableConfig(k=3, n=1, c=(BIG,)),
-     f"per-vertex count {BIG_TEXT} outside 1..3"),
     ("nu", lambda: nu(NEG, 2),
      f"trailing-zero count is undefined for x = {NEG_TEXT}"),
     ("exact_div", lambda: exact_div(BIG, 2),
@@ -304,9 +294,9 @@ RANGE_CHECKS = [  # (id, call, its message)
     ("root_fires", lambda: formulas.root_fires(NEG, 2),
      f"height index is undefined for N = {NEG_TEXT}; need N >= 1"),
     ("root_fires_rec", lambda: formulas.root_fires_rec(NEG, 2),
-     f"need N >= 0, got {NEG_TEXT}"),
+     f"need N >= 1, got {NEG_TEXT}"),
     ("total_fires_rec", lambda: formulas.total_fires_rec(NEG, 2),
-     f"need N >= 0, got {NEG_TEXT}"),
+     f"need N >= 1, got {NEG_TEXT}"),
     ("root_fires_rec-k1", lambda: formulas.root_fires_rec(10**3, 1),
      "branching factor must be >= 2, got 1"),
     ("root_fires_rec-k0", lambda: formulas.root_fires_rec(10**3, 0),
@@ -344,9 +334,9 @@ RANGE_CHECKS = [  # (id, call, its message)
     ("d0_by_replacement", lambda: formulas.d0_by_replacement(NEG, 2),
      f"need count >= 1, got {NEG_TEXT}"),
     ("simulate-N", lambda: engine.simulate(NEG, 2),
-     f"need N >= 0, got {NEG_TEXT}"),
+     f"height index is undefined for N = {NEG_TEXT}; need N >= 1"),
     ("simulate_layers", lambda: engine.simulate_layers(NEG, 2),
-     f"need N >= 0, got {NEG_TEXT}"),
+     f"height index is undefined for N = {NEG_TEXT}; need N >= 1"),
     ("avalanche-top", lambda: next(engine.avalanche(2, NEG)),
      f"need top >= 0, got {NEG_TEXT}"),
     ("avalanche-k", lambda: next(engine.avalanche(NEG, 5)),

@@ -24,7 +24,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from chipfire import engine, formulas
 from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, avalanche,
                              simulate, simulate_layers)
-from chipfire.formulas import fire_profile, root_fires, total_fires, vertex_fires
+from chipfire.formulas import (fire_profile, root_fires, total_fires, total_fires_rec,
+                               vertex_fires)
 from chipfire.numerics import (DigitString, certify, format_int, height_index, parse_int,
                                repunit, stable_config, to_base)
 from chipfire.schizo import (Block, BlockReport, DigitDump, block_report, inv_sqrt_digits,
@@ -46,7 +47,7 @@ def bounded(max_examples):
 
 
 @bounded(150)
-@given(N=st.integers(0, 400), k=st.integers(2, 6),
+@given(N=st.integers(1, 400), k=st.integers(2, 6),
        strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
 def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
@@ -64,7 +65,7 @@ def test_avalanche_settles_every_pile_as_the_layer_engine_does(k, top):
 def _one_fire_per_pop(N, k, strategy, seed):
     # the node loop that batch firing replaced, kept as the reference: each heap
     # pop fires one vertex once; (stable chips, fires) per layer
-    n = height_index(N, k) if N else 0
+    n = height_index(N, k)
     key = _priority(strategy, seed)
     size = repunit(n, k)
     threshold = k + 1
@@ -72,8 +73,7 @@ def _one_fire_per_pop(N, k, strategy, seed):
     top = N if count_keyed else threshold  # no vertex ever holds more than N
     chips = [0] * size
     fires = [0] * size
-    if N:
-        chips[0] = N
+    chips[0] = N
     heap = [(key(0, N), N, 0)] if N >= threshold else []
     while heap:
         _, count, v = heappop(heap)
@@ -108,7 +108,7 @@ def _one_fire_per_pop(N, k, strategy, seed):
 
 
 @bounded(100)
-@given(N=st.integers(0, 300), k=st.integers(2, 6),
+@given(N=st.integers(1, 300), k=st.integers(2, 6),
        strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
 def test_batch_firing_equals_one_fire_per_pop(N, k, strategy, seed):
     assert simulate(N, k, strategy=strategy, seed=seed) == _result(
@@ -119,8 +119,8 @@ def test_batch_firing_equals_one_fire_per_pop(N, k, strategy, seed):
 def _unseeded_layers(N, k):
     # the batch loop from zero fires that the least-action seed replaced,
     # kept as the reference: (stable chips, fires) per layer
-    n = height_index(N, k) if N else 0
-    chips = [N] + [0] * (n - 1) if N else []
+    n = height_index(N, k)
+    chips = [N] + [0] * (n - 1)
     fires = [0] * n
     progressed = True
     while progressed:
@@ -155,7 +155,7 @@ def _assert_seeded_run_is_unseeded_run(N, k):
 
 
 @bounded(80)
-@given(N=st.integers(0, 10**40 - 1), k=st.integers(2, 64))
+@given(N=st.integers(1, 10**40 - 1), k=st.integers(2, 64))
 def test_seeded_layer_engine_equals_the_unseeded_batch_loop(N, k):
     _assert_seeded_run_is_unseeded_run(N, k)
 
@@ -249,7 +249,7 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
 
     profile = fire_profile(N, k)
     assert profile.f == f
-    assert profile.total == total
+    assert total_fires_rec(N, k) == total
     assert root_fires(N, k) == root == f[0]
     assert total_fires(N, k) == total
     i = data.draw(st.integers(0, n - 1), label="layer")
@@ -263,8 +263,8 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
 @given(N=st.integers(10**49, 10**200 - 1), k=st.integers(2, 64), data=st.data())
 def test_certificate_accepts_the_outcome_and_names_one_wrong_layer(N, k, data):
     c, f = stable_config(N, k).c, fire_profile(N, k).f
-    certify(N, k, c)
-    certify(N, k, c, f)
+    assert certify(N, k, c) is None
+    assert certify(N, k, c, f) == total_fires(N, k) == total_fires_rec(N, k)
     i = data.draw(st.integers(0, len(c) - 1), label="layer")
     step = data.draw(st.sampled_from((-1, 1)), label="step")
     with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} fires "):
