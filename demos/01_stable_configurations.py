@@ -13,10 +13,11 @@ K = 3
 print(f"ternary tree (k = {K}), piles N = 1..40\n")
 print(f"{'N':>3}  {'n':>2}  {'digits':>8}  chips per vertex by layer")
 for N in range(1, 41):
-    cfg = stable_config(N, K)
-    digits = to_base(N - repunit(cfg.n, K), K, cfg.n)
-    marker = " <- repunit: new layer opens" if N == repunit(cfg.n, K) else ""
-    print(f"{N:>3}  {cfg.n:>2}  {str(digits):>8}  {list(cfg.c)}{marker}")
+    chips = stable_config(N, K)
+    n = len(chips)
+    digits = to_base(N - repunit(n, K), K, n)
+    marker = " <- repunit: new layer opens" if N == repunit(n, K) else ""
+    print(f"{N:>3}  {n:>2}  {str(digits):>8}  {list(chips)}{marker}")
 
 print("""
 Chips are conserved: sum(c_i * k^i) == N on every row above.
@@ -26,9 +27,9 @@ The height index n steps up exactly at the repunits 1, 4, 13, 40, ...
 # the simulation engine reaches the same configuration by brute force
 for N in (9, 25, 40):
     sim = simulate_layers(N, K)
-    cfg = stable_config(N, K)
-    assert sim.stable_chips == cfg.c
-    print(f"N = {N}: engine and digit map agree on {list(cfg.c)}; "
+    chips = stable_config(N, K)
+    assert sim.stable_chips == chips
+    print(f"N = {N}: engine and digit map agree on {list(chips)}; "
           f"the pile took {sim.total_fires} fires to settle")
 
 big = 10**30

@@ -20,17 +20,17 @@ from chipfire.engine import STRATEGIES
 
 N, K = 2025, 3
 
-profile = fire_profile(N, K)
+fires = fire_profile(N, K)
 sim = simulate_layers(N, K)
-print(f"pile of {N} chips on the {K}-ary tree (height index n = {profile.n})\n")
+print(f"pile of {N} chips on the {K}-ary tree (height index n = {len(fires)})\n")
 print(f"{'layer':>5}  {'fires/vertex':>12}")
-for i, f in enumerate(profile.f):
+for i, f in enumerate(fires):
     print(f"{i + 1:>5}  {f:>12}")
 print(f"\nroot fires  : {root_fires(N, K)} (recursion: {root_fires_rec(N, K)}, "
       f"engine: {sim.root_fires})")
 print(f"total fires : {total_fires(N, K)} (recursion: {total_fires_rec(N, K)}, "
       f"engine: {sim.total_fires})")
-assert profile.f == sim.fires_by_layer
+assert fires == sim.fires_by_layer
 
 print("\nfiring order is irrelevant (global confluence):")
 for strategy in STRATEGIES:

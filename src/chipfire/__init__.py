@@ -7,10 +7,9 @@ produce, and digs out the schizophrenic-number digit patterns hiding in
 their difference values.  All arithmetic is exact.
 """
 
-from .engine import SimResult, simulate, simulate_layers
+from .engine import simulate, simulate_layers
 from .formulas import (
     D_diff,
-    FireProfile,
     a_seq,
     b_seq,
     d0,
@@ -28,7 +27,7 @@ from .formulas import (
 )
 from .numerics import (
     DigitString,
-    StableConfig,
+    SimResult,
     height_index,
     nu,
     repunit,
@@ -59,11 +58,9 @@ __all__ = [
     "D_diff",
     "DigitDump",
     "DigitString",
-    "FireProfile",
     "SequenceId",
     "SequenceWindow",
     "SimResult",
-    "StableConfig",
     "a_seq",
     "b_seq",
     "block_report",

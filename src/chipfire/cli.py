@@ -3,8 +3,8 @@
 Subcommands: stable, fires, seq, verify, schizo.  Every numeric argument is
 parsed, and every integer printed, by `numerics.parse_int` and
 `numerics.format_int`, so no integer is too long.  `stable` and `fires`
-pass their answer through `numerics.certify` before printing it, and the
-total that `fires` prints is the one the certificate returns.  Exit
+pass their answer through `numerics.certify` before printing it, and
+`fires` prints the `SimResult` that the certificate returns.  Exit
 codes: 0 success, 1 routes, or the engine and a formula, disagreed, or an
 answer failed its certificate, in any subcommand (one `FAIL:` line, no
 traceback), 2 usage error, 141 standard output closed early.
@@ -47,52 +47,53 @@ def _parse_k_range(text: str) -> range:
 
 
 def cmd_stable(args) -> int:
-    cfg = numerics.stable_config(args.N, args.k)
-    numerics.certify(args.N, args.k, cfg.c)
+    chips = numerics.stable_config(args.N, args.k)
+    numerics.certify(args.N, args.k, chips)
     # layer i+1 holds digit i of N - repunit(n, k), plus one
     digits = numerics.DigitString(radix=args.k,
-                                  digits=tuple(c - 1 for c in reversed(cfg.c)))
+                                  digits=tuple(c - 1 for c in reversed(chips)))
     if args.format == "json":
-        print(sequences.json_text({"N": args.N, "k": args.k, "n": cfg.n,
+        print(sequences.json_text({"N": args.N, "k": args.k, "n": len(chips),
                                    "digits": str(digits),
-                                   "chips_per_vertex": cfg.c}))
+                                   "chips_per_vertex": chips}))
     elif args.format == "csv":
         print("layer,chips_per_vertex")
-        for i, c in enumerate(cfg.c, 1):
+        for i, c in enumerate(chips, 1):
             print(f"{format_int(i)},{format_int(c)}")
     else:
         print(f"N = {format_int(args.N)}  k = {format_int(args.k)}  "
-              f"n = {format_int(cfg.n)}  digits = {digits}")
-        for i, c in enumerate(cfg.c, 1):
+              f"n = {format_int(len(chips))}  digits = {digits}")
+        for i, c in enumerate(chips, 1):
             print(f"layer {format_int(i)}: {format_int(c)} chips per vertex")
     return 0
 
 
 def cmd_fires(args) -> int:
-    profile = formulas.fire_profile(args.N, args.k)
-    total = numerics.certify(args.N, args.k, numerics.stable_config(args.N, args.k).c,
-                             profile.f)
+    result = numerics.certify(args.N, args.k, numerics.stable_config(args.N, args.k),
+                              formulas.fire_profile(args.N, args.k))
     if args.format == "json":
-        print(sequences.json_text({"N": args.N, "k": args.k, "n": profile.n,
-                                   "fires_per_vertex": profile.f,
-                                   "root_fires": profile.f[0],
-                                   "total_fires": total}))
+        print(sequences.json_text({"N": args.N, "k": args.k, "n": result.n,
+                                   "fires_per_vertex": result.fires_by_layer,
+                                   "root_fires": result.root_fires,
+                                   "total_fires": result.total_fires}))
     elif args.format == "csv":
         print("layer,fires_per_vertex")
-        for i, f in enumerate(profile.f, 1):
+        for i, f in enumerate(result.fires_by_layer, 1):
             print(f"{format_int(i)},{format_int(f)}")
-        print(f"total,{format_int(total)}")
+        print(f"total,{format_int(result.total_fires)}")
     else:
         print(f"N = {format_int(args.N)}  k = {format_int(args.k)}  "
-              f"n = {format_int(profile.n)}")
-        for i, f in enumerate(profile.f, 1):
+              f"n = {format_int(result.n)}")
+        for i, f in enumerate(result.fires_by_layer, 1):
             print(f"layer {format_int(i)}: {format_int(f)} fires per vertex")
-        print(f"root fires = {format_int(profile.f[0])}")
-        print(f"total fires = {format_int(total)}")
+        print(f"root fires = {format_int(result.root_fires)}")
+        print(f"total fires = {format_int(result.total_fires)}")
     return 0
 
 
 def cmd_seq(args) -> int:
+    if args.header and args.format != "csv":
+        raise ValueError("--header needs --format csv")
     window = sequences.generate(sequences.SequenceId(name=args.id, k=args.k),
                                 start=args.start, count=args.count)
     if args.diff:
@@ -111,14 +112,11 @@ def cmd_seq(args) -> int:
 
 def _verify_cell(N: int, k: int, results: list) -> None:
     """Hold every (label, SimResult) of `results` and every formula to one result."""
-    formula = {"stable_chips": [("stable_config", numerics.stable_config(N, k).c)],
-               "fires_by_layer": [("fire_profile", formulas.fire_profile(N, k).f)]}
-    for quantity in ("root_fires", "total_fires"):
-        formula[quantity] = [(r.__name__, r(N, k)) for r in formulas.ROUTES[quantity]]
     # equal stable_chips mean equal n, and every run has the k it was given
-    for quantity, routes in formula.items():
+    for quantity in ("stable_chips", "fires_by_layer", "root_fires", "total_fires"):
         formulas._agree(quantity, (N, k),
-                        [(label, getattr(r, quantity)) for label, r in results] + routes)
+                        [(label, getattr(r, quantity)) for label, r in results]
+                        + [(r.__name__, r(N, k)) for r in formulas.ROUTES[quantity]])
 
 
 def cmd_verify(args) -> int:

@@ -48,9 +48,9 @@ Two engines are provided:
     the root, and a layer is added when N reaches repunit(n+1).
 
 Both engines take piles of N >= 1 chips, the domain of the height index,
-and end in `_result`, which passes the chips and fires per layer through
-`numerics.certify`, the odometer certificate, and takes the total fires
-from it.  So no wrong outcome leaves either engine, and in the avalanche no
+and end in `certify`: `numerics.certify`, the odometer certificate, proves
+the chips and fires per layer and builds the `SimResult` with its total
+fires.  So no wrong outcome leaves either engine, and in the avalanche no
 pile after a wrong one is yielded.  Neither engine imports `formulas`;
 `_budget` proves their step budget.
 """
@@ -59,10 +59,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .numerics import (_require_at_least, _require_k, certify, format_int,
+from .numerics import (SimResult, _require_at_least, _require_k, certify, format_int,
                        height_index, repunit)
 
 STRATEGIES = ("bfs", "max-chips", "random")
@@ -80,31 +79,6 @@ class TreeSizeError(ValueError):
     """Node-level simulation would touch too many nodes."""
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """Measured outcome of one stabilization run.
-
-    `stable_chips[i]` / `fires_by_layer[i]` refer to every vertex on layer
-    i+1, for layers 1..n, each vertex holding 1..k chips.  Every entry point
-    gives equal results for equal (N, k).
-    """
-
-    k: int
-    n: int
-    stable_chips: tuple[int, ...]
-    fires_by_layer: tuple[int, ...]
-    root_fires: int
-    total_fires: int
-
-    @property
-    def steps(self) -> int:
-        """Single-vertex fires of the run: `total_fires` under another name.
-
-        The benchmark's tracer (`perfbench/tracing.py`) reads it.
-        """
-        return self.total_fires
-
-
 def _budget(N: int, k: int) -> tuple[int, int]:
     """The height index n of N and the step budget; `height_index` checks N and k.
 
@@ -117,19 +91,6 @@ def _budget(N: int, k: int) -> tuple[int, int]:
     """
     n = height_index(N, k)
     return n, N * (n - 1) // (k - 1)
-
-
-def _result(N: int, k: int, stable: list[int], by_layer: list[int]) -> SimResult:
-    """Certify a run's chips and fires per layer, then package them.
-
-    `certify` raises AssertionError unless they are the unique stable
-    configuration of N and its odometer, which also proves chips conserved
-    and every layer stable and reached, and returns the total fires.
-    """
-    total = certify(N, k, stable, by_layer)
-    return SimResult(k=k, n=len(stable), stable_chips=tuple(stable),
-                     fires_by_layer=tuple(by_layer), root_fires=by_layer[0],
-                     total_fires=total)
 
 
 def _pile(N: int, k: int) -> str:
@@ -219,7 +180,7 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
             raise EngineError(f"step budget {format_int(budget)} exceeded at "
                               f"{_pile(N, k)}")
 
-    return _result(N, k, *_collect(N, k, n, chips, fires))
+    return certify(N, k, *_collect(N, k, n, chips, fires))
 
 
 def _collect(N: int, k: int, n: int, chips: list[int],
@@ -313,7 +274,7 @@ def simulate_layers(N: int, k: int) -> SimResult:
     chips[0] += N
     stack = [i for i, count in enumerate(chips) if count > k]
     _settle(N, k, chips, fires, stack, sum(fires), budget)
-    return _result(N, k, chips, fires)
+    return certify(N, k, chips, fires)
 
 
 def avalanche(k: int, top: int) -> Iterator[SimResult]:
@@ -325,7 +286,7 @@ def avalanche(k: int, top: int) -> Iterator[SimResult]:
     that one avalanche.  So each pile adds one chip to the root and runs
     `_settle` on the state the last pile left.  A layer is added exactly
     when N reaches repunit(n+1), the first pile of height index n+1.  Each
-    pile ends in `_result`, so a pile whose run is wrong raises there, before
+    pile ends in `certify`, so a pile whose run is wrong raises there, before
     any later pile is yielded.
 
     The step budget holds pile by pile: the steps so far are sum(fires)
@@ -344,7 +305,7 @@ def avalanche(k: int, top: int) -> Iterator[SimResult]:
             deeper = k * deeper + 1
         chips[0] += 1
         steps = _settle(N, k, chips, fires, [0], steps, N * (len(chips) - 1) // (k - 1))
-        yield _result(N, k, chips, fires)
+        yield certify(N, k, chips, fires)
 
 
 def _settle(N: int, k: int, chips: list[int], fires: list[int], stack: list[int],

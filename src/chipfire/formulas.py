@@ -1,13 +1,16 @@
 """Closed-form and recursive fire counts for chip-firing on the k-ary tree.
 
 Each quantity is implemented at least twice (closed form, recursion, and for
-the difference sequences a digit-replacement construction as well).  Routes
-are listed once, in `ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0` and
-`D_diff` are one call to it each) and compared by `_agree`, the package's one
-comparison of routes.  A route calls only its own family, and the engine that
-the tests check everything against imports nothing here.  Every route rejects
-k < 2 and an index below its least value itself, so a route called alone, as
-an independent reference, refuses what `crosscheck` refuses.
+the difference sequences a digit-replacement construction as well).  The
+stable chips and the fires per layer, `stable_chips` and `fires_by_layer`,
+are the exception: one formula route each, and the engine's certified run is
+their second route, which `verify` holds them to.  Routes are listed once, in
+`ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0` and `D_diff` are one
+call to it each) and compared by `_agree`, the package's one comparison of
+routes.  A route calls only its own family, and the engine that the tests
+check everything against imports nothing here.  Every route rejects k < 2 and
+an index below its least value itself, so a route called alone, as an
+independent reference, refuses what `crosscheck` refuses.
 
 The fire counts are written over the stable digits c_0..c_(n-1) of N and each
 is one pass over them, O(n) big-integer steps.  The fires per vertex come from
@@ -27,20 +30,8 @@ naming the tree layer i+1 (so i = 0 is the root).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numerics import (_require_at_least, _require_k, exact_div, format_int,
                        height_index, nu, repunit, stable_config)
-
-
-@dataclass(frozen=True)
-class FireProfile:
-    """Fires per vertex by layer for one pile."""
-
-    N: int
-    k: int
-    n: int
-    f: tuple[int, ...]
 
 
 def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
@@ -65,9 +56,9 @@ def vertex_fires(N: int, k: int, i: int) -> int:
 
     Evaluated by f_i = f_(i+1) + delta_i in O(n) steps.
     """
-    cfg = stable_config(N, k)
-    _check_layer(i, cfg.n)
-    return _fires_by_layer(cfg.c, k)[i]
+    c = stable_config(N, k)
+    _check_layer(i, len(c))
+    return _fires_by_layer(c, k)[i]
 
 
 def vertex_fires_via_root(N: int, k: int, i: int) -> int:
@@ -84,8 +75,7 @@ def root_fires(N: int, k: int) -> int:
     The sum of repunit(j) * c_j = (k^j - 1) c_j / (k-1) is (N - sum c_j)/(k-1),
     because sum c_j k^j = N.
     """
-    cfg = stable_config(N, k)
-    return exact_div(N - sum(cfg.c), k - 1)
+    return exact_div(N - sum(stable_config(N, k)), k - 1)
 
 
 def root_fires_rec(N: int, k: int) -> int:
@@ -106,10 +96,9 @@ def total_fires(N: int, k: int) -> int:
     The sum of (m k^(m+1) - (m+1) k^m + 1) c_m / (k-1)^2, with p = k^m kept as
     a running power so that the pass is O(n) steps.
     """
-    cfg = stable_config(N, k)
     s = 0
     p = 1
-    for m, c in enumerate(cfg.c):
+    for m, c in enumerate(stable_config(N, k)):
         s += (p * (m * (k - 1) - 1) + 1) * c
         p *= k
     return exact_div(s, (k - 1) ** 2)
@@ -136,14 +125,14 @@ def total_fires_rec(N: int, k: int) -> int:
     return total
 
 
-def fire_profile(N: int, k: int) -> FireProfile:
-    """All per-layer fire counts, by the difference recurrences in O(n) steps.
+def fire_profile(N: int, k: int) -> tuple[int, ...]:
+    """Fires per vertex by layer, f_0..f_(n-1), by the difference recurrences.
 
-    Their total, sum f_i k^i over the k^i vertices of each layer, is what
-    `numerics.certify` returns once it has proven f.
+    O(n) steps.  Their total, sum f_i k^i over the k^i vertices of each
+    layer, is the `total_fires` of the `SimResult` that `numerics.certify`
+    returns once it has proven f.
     """
-    cfg = stable_config(N, k)
-    return FireProfile(N=N, k=k, n=cfg.n, f=tuple(_fires_by_layer(cfg.c, k)))
+    return tuple(_fires_by_layer(stable_config(N, k), k))
 
 
 # --- the all-ones pile N = repunit(n, k) -----------------------------------
@@ -332,7 +321,8 @@ def D_diff(m: int, k: int) -> int:
     return crosscheck("D", m, k)
 
 
-# crosscheck reads this table on every call, so a replaced entry is seen at once
+# crosscheck and the CLI's verify read this table on every call, so a replaced
+# entry is seen at once; the pile quantities are named after `SimResult` fields
 ROUTES = {
     "a": (a_closed, a_recursive),
     "b": (b_closed, b_recursive),
@@ -341,6 +331,8 @@ ROUTES = {
     "root_fires": (root_fires, root_fires_rec),
     "total_fires": (total_fires, total_fires_rec),
     "vertex_fires": (vertex_fires, vertex_fires_via_root),
+    "stable_chips": (stable_config,),
+    "fires_by_layer": (fire_profile,),
 }
 
 

@@ -18,7 +18,8 @@ Every `need X >= lo, got v` check is one `_require_at_least` call, and every
 integer in a message goes through `format_int`.
 
 `certify` is the odometer certificate: an O(n) proof that given chips and
-fires per layer are a pile's outcome, which returns the pile's total fires.
+fires per layer are a pile's outcome.  It returns that outcome as a
+`SimResult`, the one shape of a pile's answer, which no other code builds.
 Every engine run and every `stable` and `fires` answer of the CLI passes
 through it, and every total fires that an engine returns or the CLI prints
 is its sum.
@@ -80,17 +81,28 @@ class DigitString:
 
 
 @dataclass(frozen=True)
-class StableConfig:
-    """Chips per vertex, by layer, in the unique stable configuration.
+class SimResult:
+    """A pile's certified outcome: the one shape of its answer.
 
-    `c[i]` is the chip count on every vertex of layer i+1 (root = layer 1);
-    each entry lies in 1..k and sum(c[i] * k^i) recovers the initial pile.
-    `stable_config` builds it from the n digits that `to_base` has checked.
+    `stable_chips[i]` / `fires_by_layer[i]` refer to every vertex on layer
+    i+1, for layers 1..n, each vertex holding 1..k chips.  Only `certify`
+    builds one, so every entry point gives equal results for equal (N, k).
     """
 
     k: int
     n: int
-    c: tuple[int, ...]
+    stable_chips: tuple[int, ...]
+    fires_by_layer: tuple[int, ...]
+    root_fires: int
+    total_fires: int
+
+    @property
+    def steps(self) -> int:
+        """Single-vertex fires of the run: `total_fires` under another name.
+
+        The benchmark's tracer (`perfbench/tracing.py`) reads it.
+        """
+        return self.total_fires
 
 
 def repunit(n: int, k: int) -> int:
@@ -227,36 +239,39 @@ def nu(x: int, k: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def stable_config(N: int, k: int) -> StableConfig:
-    """Stable per-layer chip counts for a pile of N chips dropped on the root.
+def stable_config(N: int, k: int) -> tuple[int, ...]:
+    """Stable chips per vertex, by layer, for a pile of N chips dropped on the root.
 
-    Layer i+1 carries one more chip per vertex than digit i of N - repunit(n, k)
-    in base k, where n is the height index of N.  The last result is kept, so
-    the closed forms asked about one pile share one frozen configuration.
+    c[i] is the count on every vertex of layer i+1 (root = layer 1): one more
+    than digit i of N - repunit(n, k) in base k, where n = len(c) is the
+    height index of N.  Each c[i] lies in 1..k and sum c[i].k^i = N.  The
+    last result is kept, so the closed forms asked about one pile share one
+    configuration.
     """
     n = height_index(N, k)
     a = to_base(N - repunit(n, k), k, n)
-    c = tuple(d + 1 for d in reversed(a.digits))
-    return StableConfig(k=k, n=n, c=c)
+    return tuple(d + 1 for d in reversed(a.digits))
 
 
 def _certifying(N: int, k: int) -> str:
     return f"certify({format_int(N)}, {format_int(k)})"
 
 
-def certify(N: int, k: int, c, f=None) -> int | None:
+def certify(N: int, k: int, c, f=None) -> SimResult | None:
     """Prove that N chips stabilize to c per vertex by layer, firing f; else raise.
 
     The odometer certificate: O(n) big-integer steps, no simulation and no
     closed form.  A failure raises AssertionError naming a layer whose
-    equation fails and the pile.  With f it returns the total fires,
-    sum f_i.k^i over the k^i vertices of each layer; without f, None.
+    equation fails and the pile.  With f it returns the pile's `SimResult`,
+    whose total fires is sum f_i.k^i over the k^i vertices of each layer; it
+    is the only code that builds one.  Without f it returns None.
 
     With f: every c_i lies in 1..k, the last layer does not fire,
     f_(n-1) = 0, and N.e0 - L.f = c, where L is the layer matrix of
     `engine.simulate_layers`: row 0 is N - k.f_0 + k.f_1 = c_0 and row
-    i > 0 is f_(i-1) - (k+1).f_i + k.f_(i+1) = c_i, with f_n = 0.  An empty
-    c certifies only N = 0.  Nothing more is needed, f >= 0 included.
+    i > 0 is f_(i-1) - (k+1).f_i + k.f_(i+1) = c_i, with f_n = 0, and c is
+    not empty: a pile of N >= 1 chips holds some on layer 1.  Nothing more
+    is needed, f >= 0 included.
     Weighting row i by k^i telescopes the rows to
     sum c_i.k^i = N - k^n.f_(n-1) = N, and digits in 1..k make c the
     bijective base-k numeral of N, which is unique (k-adic notation;
@@ -302,7 +317,8 @@ def certify(N: int, k: int, c, f=None) -> int | None:
         if N:
             raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
                                  "are left for layer 1")
-        return 0
+        raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
+                             "N >= 1")
     if f[-1]:
         raise AssertionError(f"{_certifying(N, k)}: layer {format_int(n)} fires "
                              f"{format_int(f[-1])} times per vertex, not 0")
@@ -319,4 +335,5 @@ def certify(N: int, k: int, c, f=None) -> int | None:
         raise AssertionError(f"{_certifying(N, k)}: layer 1 ends with "
                              f"{format_int(N - k * delta)} chips per vertex, "
                              f"not {format_int(c[0])}")
-    return total
+    return SimResult(k=k, n=n, stable_chips=tuple(c), fires_by_layer=tuple(f),
+                     root_fires=f[0], total_fires=total)

@@ -52,9 +52,8 @@ def test_criterion_1_oracle_equivalence():
         for k in range(2, 7):
             for N in range(1, 2001):
                 sim = simulate_layers(N, k)
-                profile = fire_profile(N, k)
-                assert sim.stable_chips == stable_config(N, k).c, (N, k)
-                assert sim.fires_by_layer == profile.f, (N, k)
+                assert sim.stable_chips == stable_config(N, k), (N, k)
+                assert sim.fires_by_layer == fire_profile(N, k), (N, k)
                 assert sim.root_fires == root_fires(N, k), (N, k)
                 assert sim.total_fires == total_fires(N, k), (N, k)
 

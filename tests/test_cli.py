@@ -216,6 +216,20 @@ def test_verify_formula_line_names_the_top_pile():
     assert out.splitlines()[0] == "k=2: formulas match engine for N=1..8"
 
 
+def test_verify_reads_every_formula_route_from_the_route_table(monkeypatch):
+    # the stable chips and fires per layer are ROUTES entries like the totals,
+    # so a replaced fires_by_layer route is what verify compares
+    def fire_profile_off_by_one(N, k):
+        f = formulas.fire_profile(N, k)
+        return (f[0] + 1,) + f[1:]
+
+    monkeypatch.setitem(formulas.ROUTES, "fires_by_layer", (fire_profile_off_by_one,))
+    code, out, err = run(["verify", "-k", "3", "-N", "20"])
+    assert code == 1 and not err
+    assert out == ("FAIL: fires_by_layer(1, 3): routes disagree: avalanche [0], "
+                   "fire_profile_off_by_one [1]\n")
+
+
 def test_verify_checks_vertex_fires_on_the_deepest_pile(monkeypatch):
     real = formulas.vertex_fires_via_root
     monkeypatch.setitem(formulas.ROUTES, "vertex_fires",
@@ -296,8 +310,8 @@ def _wrong_digit_at_layer_2(monkeypatch):
     real = numerics.stable_config
 
     def wrong(N, k):
-        cfg = real(N, k)
-        return dataclasses.replace(cfg, c=cfg.c[:1] + (cfg.c[1] % k + 1,) + cfg.c[2:])
+        c = real(N, k)
+        return c[:1] + (c[1] % k + 1,) + c[2:]
 
     monkeypatch.setattr(numerics, "stable_config", wrong)
 
@@ -400,6 +414,10 @@ def test_usage_errors_exit_two():
     assert run(["stable", "-N", "9"])[0] == 2  # missing -k
     assert run(["no-such-command"])[0] == 2
     assert run(["fires", "-N", "9" * 5000 + "x", "-k", "3"])[0] == 2  # past int()'s limit
+    for fmt in ("table", "json", "bfile"):  # a header row is csv's alone
+        code, out, err = run(["seq", "d0", "-k", "2", "-n", "3", "--header", "-f", fmt])
+        assert (code, out) == (2, ""), fmt
+        assert err == "error: --header needs --format csv\n", fmt
 
 
 def test_arbitrary_precision_arguments():
@@ -422,8 +440,8 @@ def _json(out):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_fires_past_the_digit_limit(fmt):
-    profile = formulas.fire_profile(BIG_N, BIG_K)
-    assert profile.n == 5
+    f = formulas.fire_profile(BIG_N, BIG_K)
+    assert len(f) == 5
     code, out, _ = run(["fires", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
                         "-f", fmt])
     assert code == 0
@@ -431,12 +449,12 @@ def test_fires_past_the_digit_limit(fmt):
     if fmt == "json":
         payload = _json(out)
         assert (payload["N"], payload["k"], payload["n"]) == (BIG_N, BIG_K, 5)
-        assert tuple(payload["fires_per_vertex"]) == profile.f
+        assert tuple(payload["fires_per_vertex"]) == f
         assert payload["root_fires"] == formulas.root_fires_rec(BIG_N, BIG_K)
         assert payload["total_fires"] == formulas.total_fires_rec(BIG_N, BIG_K)
     elif fmt == "csv":
         rows = [line.split(",") for line in lines[1:]]
-        assert tuple(parse_int(f) for _, f in rows[:-1]) == profile.f
+        assert tuple(parse_int(fi) for _, fi in rows[:-1]) == f
         assert rows[-1] == ["total", format_int(formulas.total_fires_rec(BIG_N, BIG_K))]
     else:
         assert lines[0] == f"N = {BIG_N_TEXT}  k = {BIG_K_TEXT}  n = 5"
@@ -445,11 +463,11 @@ def test_fires_past_the_digit_limit(fmt):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_stable_past_the_digit_limit(fmt):
-    cfg = numerics.stable_config(BIG_N, BIG_K)
+    c = numerics.stable_config(BIG_N, BIG_K)
     code, out, _ = run(["stable", "-N", BIG_N_TEXT, "-k", BIG_K_TEXT,
                         "-f", fmt])
     assert code == 0
-    digits = ".".join(str(c - 1) for c in reversed(cfg.c))
+    digits = ".".join(str(ci - 1) for ci in reversed(c))
     if fmt == "json":
         payload = _json(out)
         assert (payload["N"], payload["k"], payload["n"]) == (BIG_N, BIG_K, 5)
@@ -460,7 +478,7 @@ def test_stable_past_the_digit_limit(fmt):
     else:
         assert out.splitlines()[0].endswith(f"n = 5  digits = {digits}")
         chips = [parse_int(line.split()[2]) for line in out.splitlines()[1:]]
-    assert tuple(chips) == cfg.c
+    assert tuple(chips) == c
     assert sum(c * BIG_K**i for i, c in enumerate(chips)) == BIG_N
 
 
@@ -579,11 +597,11 @@ def test_digit_limit_of_the_interpreter(limit):
         env={**os.environ, "PYTHONINTMAXSTRDIGITS": limit})
     assert done.returncode == 0, done.stderr
     payload = _json(done.stdout)
-    profile = formulas.fire_profile(N, 10)
-    assert (payload["N"], payload["k"], payload["n"]) == (N, 10, profile.n)
-    assert tuple(payload["fires_per_vertex"]) == profile.f
+    f = formulas.fire_profile(N, 10)
+    assert (payload["N"], payload["k"], payload["n"]) == (N, 10, len(f))
+    assert tuple(payload["fires_per_vertex"]) == f
     assert payload["total_fires"] == formulas.total_fires_rec(N, 10)
-    assert len(str(profile.f[0])) > 640  # past the lowest limit
+    assert len(str(f[0])) > 640  # past the lowest limit
 
 
 def _layer_2_fires(N, k):
@@ -619,8 +637,8 @@ def test_every_total_is_the_certificates_sum(monkeypatch):
     real = numerics.certify
 
     def one_too_many(N, k, c, f=None):
-        total = real(N, k, c, f)
-        return None if f is None else total + 1
+        result = real(N, k, c, f)
+        return result and dataclasses.replace(result, total_fires=result.total_fires + 1)
 
     monkeypatch.setattr(engine, "certify", one_too_many)
     code, out, err = run(["verify", "-k", "2", "-N", "3"])

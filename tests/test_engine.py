@@ -95,7 +95,7 @@ def test_node_matches_layers_and_stable_config():
         node = simulate(N, k)
         layer = simulate_layers(N, k)
         assert node == layer, (N, k)
-        assert layer.stable_chips == stable_config(N, k).c
+        assert layer.stable_chips == stable_config(N, k)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -150,7 +150,7 @@ def test_a_truncated_tree_refuses_to_fire_the_last_layer_of_the_layer_engine(mon
      r"certify\(200, 2\): layer 2 fires 91 times per vertex, not 92$"),
 ], ids=["fires", "chips"])
 def test_result_rejects_a_wrong_layer(monkeypatch, wrong, named):
-    # whatever _collect hands over, _result lets out only a certified run
+    # whatever _collect hands over, simulate lets out only a run that certify proved
     real = engine._collect
     monkeypatch.setattr(engine, "_collect", lambda *args: wrong(*real(*args)))
     with pytest.raises(AssertionError, match=named):

@@ -8,6 +8,7 @@ import chipfire
 from chipfire import engine, formulas, schizo
 from chipfire.numerics import (
     DigitString,
+    SimResult,
     certify,
     exact_div,
     height_index,
@@ -161,20 +162,20 @@ def test_nu_brute_force():
 
 
 def test_stable_config_examples():
-    assert stable_config(9, 3).c == (3, 2)
+    assert stable_config(9, 3) == (3, 2)
     for k in range(2, 8):
-        assert stable_config(k, k).c == (k,)
+        assert stable_config(k, k) == (k,)
         for n in range(1, 7):
-            assert stable_config(repunit(n, k), k).c == (1,) * n
+            assert stable_config(repunit(n, k), k) == (1,) * n
 
 
 def test_stable_config_conserves_chips_and_bounds():
     for k in range(2, 7):
         for N in range(1, 2001):
-            cfg = stable_config(N, k)
-            assert sum(c * k**i for i, c in enumerate(cfg.c)) == N
-            assert all(1 <= c <= k for c in cfg.c)
-            assert cfg.n == height_index(N, k)
+            chips = stable_config(N, k)
+            assert sum(c * k**i for i, c in enumerate(chips)) == N
+            assert all(1 <= c <= k for c in chips)
+            assert len(chips) == height_index(N, k)
 
 
 def test_trailing_ones_remark():
@@ -204,15 +205,17 @@ def test_exact_div():
 
 def _outcome(N, k):
     """The stable chips and the fires per layer of N chips, by the formulas."""
-    return stable_config(N, k).c, formulas.fire_profile(N, k).f
+    return stable_config(N, k), formulas.fire_profile(N, k)
 
 
 def test_certify_accepts_every_outcome():
     for k in (2, 3, 4, 10):
-        for N in range(0, 1500):
-            c, f = _outcome(N, k) if N else ((), ())
-            certify(N, k, c)
-            certify(N, k, c, f)
+        for N in range(1, 1500):
+            c, f = _outcome(N, k)
+            assert certify(N, k, c) is None
+            assert certify(N, k, c, f) == SimResult(
+                k=k, n=len(c), stable_chips=c, fires_by_layer=f, root_fires=f[0],
+                total_fires=sum(fi * k**i for i, fi in enumerate(f)))
 
 
 def test_certify_names_the_layer_of_a_wrong_fire_count():
@@ -255,6 +258,7 @@ def test_certify_names_the_layer_of_a_wrong_digit():
     ((18, 3, (3, 2)), "1 chips per vertex are left for layer 3"),
     ((0, 3, (3, 2)), "-1 chips per vertex are left for layer 3"),
     ((9, 3, (3, 2, 1)), "layer 3 holds 1 chips per vertex, not 3"),
+    ((0, 2, (), ()), "no layer holds chips; a pile needs N >= 1"),  # without f, accepted
 ])
 def test_certify_rejects(args, message):
     with pytest.raises(AssertionError) as exc:

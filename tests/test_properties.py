@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from chipfire import engine, formulas
-from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, _result, avalanche,
-                             simulate, simulate_layers)
+from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, avalanche, simulate,
+                             simulate_layers)
 from chipfire.formulas import (fire_profile, root_fires, total_fires, total_fires_rec,
                                vertex_fires)
 from chipfire.numerics import (DigitString, certify, format_int, height_index, parse_int,
@@ -53,6 +53,14 @@ def test_every_firing_order_is_confluent(N, k, strategy, seed):
     run = simulate(N, k, strategy=strategy, seed=seed)
     assert run == simulate(N, k)
     assert run == simulate_layers(N, k)
+
+
+@bounded(150)
+@given(N=st.integers(1, 2000), k=st.integers(2, 8))
+def test_engines_and_formulas_give_one_answer(N, k):
+    # both engines and the formula routes end in the one SimResult that certify builds
+    assert simulate(N, k) == simulate_layers(N, k) == certify(
+        N, k, stable_config(N, k), fire_profile(N, k))
 
 
 @bounded(50)
@@ -111,7 +119,7 @@ def _one_fire_per_pop(N, k, strategy, seed):
 @given(N=st.integers(1, 300), k=st.integers(2, 6),
        strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
 def test_batch_firing_equals_one_fire_per_pop(N, k, strategy, seed):
-    assert simulate(N, k, strategy=strategy, seed=seed) == _result(
+    assert simulate(N, k, strategy=strategy, seed=seed) == certify(
         N, k, *_one_fire_per_pop(N, k, strategy, seed))
 
 
@@ -194,8 +202,7 @@ def test_the_layer_engine_fires_few_batches_on_deep_piles(monkeypatch, N, k):
 def test_layer_engine_equals_the_closed_forms_at_1000_digits(k):
     N = random.Random(1000 * k).randrange(10**999, 10**1000)
     run = simulate_layers(N, k)
-    assert run.fires_by_layer == fire_profile(N, k).f
-    assert run.stable_chips == stable_config(N, k).c
+    assert run == certify(N, k, stable_config(N, k), fire_profile(N, k))
 
 
 def _assert_seed_is_a_close_lower_bound(N, k):
@@ -230,15 +237,14 @@ def test_least_action_seed_is_a_close_lower_bound_on_deep_piles(N, k):
 @bounded(300)
 @given(N=st.integers(1, 10**60 - 1), k=st.integers(2, 64))
 def test_stable_config_conserves_chips(N, k):
-    cfg = stable_config(N, k)
-    assert sum(c * k**i for i, c in enumerate(cfg.c)) == N
+    assert sum(c * k**i for i, c in enumerate(stable_config(N, k))) == N
 
 
 @bounded(300)
 @given(N=st.integers(1, 10**80 - 1), k=st.integers(2, 64), data=st.data())
 def test_fire_counts_equal_their_definitional_sums(N, k, data):
     # the per-term sums over the stable digits that the linear passes replace
-    c = stable_config(N, k).c
+    c = stable_config(N, k)
     n = len(c)
     power = [k**j for j in range(n)]
     repunit = [(p - 1) // (k - 1) for p in power]
@@ -248,7 +254,7 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
                 for m in range(1, n)) // (k - 1) ** 2
 
     profile = fire_profile(N, k)
-    assert profile.f == f
+    assert profile == f
     assert total_fires_rec(N, k) == total
     assert root_fires(N, k) == root == f[0]
     assert total_fires(N, k) == total
@@ -256,15 +262,15 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
     assert vertex_fires(N, k, i) == f[i]
     if i < n - 1:
         delta = sum(power[j - i - 1] * c[j] for j in range(i + 1, n))
-        assert profile.f[i] - profile.f[i + 1] == delta
+        assert profile[i] - profile[i + 1] == delta
 
 
 @bounded(100)
 @given(N=st.integers(10**49, 10**200 - 1), k=st.integers(2, 64), data=st.data())
 def test_certificate_accepts_the_outcome_and_names_one_wrong_layer(N, k, data):
-    c, f = stable_config(N, k).c, fire_profile(N, k).f
+    c, f = stable_config(N, k), fire_profile(N, k)
     assert certify(N, k, c) is None
-    assert certify(N, k, c, f) == total_fires(N, k) == total_fires_rec(N, k)
+    assert certify(N, k, c, f).total_fires == total_fires(N, k) == total_fires_rec(N, k)
     i = data.draw(st.integers(0, len(c) - 1), label="layer")
     step = data.draw(st.sampled_from((-1, 1)), label="step")
     with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} fires "):
