@@ -133,23 +133,28 @@ def cmd_verify(args) -> int:
     numerics._require_at_least("--node-N", node_max, 1)
     top = max(args.N, node_max) if strategies else args.N
     # only random reads the seed; an unknown strategy raises at the first pile
-    runs = [(f"{s} seed {format_int(seed)}",
-             functools.partial(engine.simulate, strategy=s, seed=seed))
-            for s in strategies for seed in range(args.seeds if s == "random" else 1)]
+    orders = [(f"{s} seed {format_int(seed)}", s, seed)
+              for s in strategies for seed in range(args.seeds if s == "random" else 1)]
 
     for k in ks:
-        # pile N of the stream is pile N-1 plus one chip; node-level runs start from zero
+        # pile N of each stream is pile N-1 plus one chip; at node-N each order
+        # also settles from zero, so whole runs in different orders meet there
+        streams = [(label, engine.node_avalanche(k, node_max, s, seed))
+                   for label, s, seed in orders]
         for N, result in zip(range(1, top + 1), engine.avalanche(k, top)):
             results = [("avalanche", result)]
             if N <= node_max:
-                results += [(label, run(N, k)) for label, run in runs]
+                results += [(label, next(stream)) for label, stream in streams]
+            if N == node_max:
+                results += [(f"{label} from zero", engine.simulate(N, k, strategy=s, seed=seed))
+                            for label, s, seed in orders]
             _verify_cell(N, k, results)
         for i in range(numerics.height_index(top, k)):  # the deepest pile's layers
             formulas.crosscheck("vertex_fires", top, k, i)
         print(f"k={format_int(k)}: formulas match engine for "
               f"N=1..{format_int(top)}")
         if strategies:
-            print(f"k={format_int(k)}: confluent over {format_int(len(runs))} "
+            print(f"k={format_int(k)}: confluent over {format_int(len(orders))} "
                   f"node-level runs for N=1..{format_int(node_max)}")
     print("verify: all checks passed")
     return 0

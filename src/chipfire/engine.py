@@ -14,7 +14,7 @@ one.  Chips are conserved by every fire.
 
 Two engines are provided:
 
-* `simulate` works vertex by vertex and supports three firing-order
+* The node engine works vertex by vertex and supports three firing-order
   strategies; by global confluence they must all agree, and the
   verification suite checks that they do.  Vertices are heap-numbered in
   two flat lists of chips and fires: vertex 0 is the root, the children of
@@ -29,7 +29,16 @@ Two engines are provided:
   more; under "max-chips", whose key is the count, on every gain that
   leaves it with k+1 or more, and an entry whose count is no longer the
   vertex's count is dropped when popped.  So a strategy orders batches of
-  fires, one batch per pop.
+  fires, one batch per pop.  One loop, `_settle_nodes`, fires them and
+  holds the step budget, the layer-n refusal and the stale-entry rule.  It
+  has two entry points, which differ only in the state it starts from;
+  in both, only the root may be eligible:
+  - `simulate(N, k, strategy, seed)` settles one pile from zero, all N
+    chips on the root;
+  - `node_avalanche(k, top, strategy, seed)` yields every pile N = 1..top
+    in turn, as `avalanche` does below: pile N is pile N-1 plus one chip
+    at the root, and a layer of k^n empty vertices is added when N
+    reaches repunit(n+1).
 * The layer engine exploits layer symmetry (every vertex on a layer
   carries the same count under the parallel strategy) and fires whole
   layers in batches, in one loop, `_settle`, which holds the step budget
@@ -50,8 +59,8 @@ Two engines are provided:
 Both engines take piles of N >= 1 chips, the domain of the height index,
 and end in `certify`: `numerics.certify`, the odometer certificate, proves
 the chips and fires per layer and builds the `SimResult` with its total
-fires.  So no wrong outcome leaves either engine, and in the avalanche no
-pile after a wrong one is yielded.  Neither engine imports `formulas`;
+fires.  So no wrong outcome leaves either engine, and in either avalanche
+no pile after a wrong one is yielded.  Neither engine imports `formulas`;
 `_budget` proves their step budget.
 """
 
@@ -109,13 +118,80 @@ def _priority(strategy: str, seed: int):
     raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
+def _check_tree_size(N: int, k: int, size: int) -> None:
+    if size > NODE_BUDGET:
+        raise TreeSizeError(f"{_pile(N, k)} touches about {format_int(size)} nodes "
+                            f"(budget {format_int(NODE_BUDGET)})")
+
+
 def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
     """Stabilize N chips dropped on the root, one vertex's batch of fires at a time.
 
     The order of the batches follows `strategy` ("bfs", "max-chips" or
     "random"); `seed` only matters for the random strategy, which draws one
     key each time a vertex is queued.  Raises TreeSizeError when the run
-    would touch more than NODE_BUDGET nodes.
+    would touch more than NODE_BUDGET nodes.  `_settle_nodes` fires the
+    batches, from the root holding all N chips.
+    """
+    n, budget = _budget(N, k)
+    key = _priority(strategy, seed)
+    size = repunit(n, k)
+    _check_tree_size(N, k, size)
+    chips = [0] * size
+    fires = [0] * size
+    chips[0] = N
+    _settle_nodes(N, k, n, chips, fires, key, strategy == "max-chips", 0, budget)
+    return certify(N, k, *_collect(N, k, n, chips, fires))
+
+
+def node_avalanche(k: int, top: int, strategy: str = "bfs",
+                   seed: int = 0) -> Iterator[SimResult]:
+    """Yield `simulate(N, k, strategy, seed)`'s result for every pile N = 1..top.
+
+    The node-level twin of `avalanche`: pile N is pile N-1 plus one chip at
+    the root, settled by `_settle_nodes` in the order of `strategy`, on the
+    vertices the last pile left.  When N reaches repunit(n+1), the tree gains
+    layer n+1, its k^n vertices empty; a pile that would pass NODE_BUDGET
+    nodes raises TreeSizeError there, as `simulate` does on that pile.  One
+    `random.Random(seed)` draws the keys of the whole stream.  Each pile ends
+    in `_collect` and `certify`, so a pile whose run is wrong raises there,
+    before any later pile is yielded.
+
+    Each pile is a legal firing sequence from N chips at the root in this
+    order: the fires of every pile so far, in turn.  So, by the abelian
+    property, it ends where `simulate` from zero does.  The steps so far are
+    the total fires of N, which `_budget` bounds by N(n-1)/(k-1).
+    """
+    _require_at_least("top", top, 0)
+    _require_k(k)
+    key = _priority(strategy, seed)
+    count_keyed = strategy == "max-chips"
+    chips: list[int] = []
+    fires: list[int] = []
+    n = steps = 0
+    deeper = 1  # repunit(n+1): the first pile with one more layer, and its node count
+    for N in range(1, top + 1):
+        if N == deeper:
+            _check_tree_size(N, k, deeper)
+            layer = [0] * (deeper - len(chips))
+            chips += layer
+            fires += layer
+            n += 1
+            deeper = k * deeper + 1
+        chips[0] += 1
+        steps = _settle_nodes(N, k, n, chips, fires, key, count_keyed, steps,
+                              N * (n - 1) // (k - 1))
+        yield certify(N, k, *_collect(N, k, n, chips, fires))
+
+
+def _settle_nodes(N: int, k: int, n: int, chips: list[int], fires: list[int], key,
+                  count_keyed: bool, steps: int, budget: int) -> int:
+    """Fire the vertices holding k+1 or more chips until none does; return the steps.
+
+    `chips` and `fires` are heap-numbered over layers 1..n and updated in
+    place.  Only the root may hold k+1 or more chips on entry.  One heap
+    holds the eligible vertices under `key`; `count_keyed` is true when the
+    key is the count ("max-chips").
 
     A popped vertex holding c chips fires t times at once: t = c // (k+1)
     off the root, and t = (c - k - 1) // k + 1 at the root, whose self-loop
@@ -127,26 +203,14 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
     of chip-firing (Bjorner, Lovasz and Shor, 1991) every such sequence
     fires each vertex equally often and ends in the same configuration:
     batching changes neither the fires nor the stable chips.  `steps`
-    counts the t single fires of a batch, so `_budget`'s bound holds as it
-    did for one fire per pop, and a layer-n vertex raises before its batch.
+    counts on from the value passed in, the t single fires of a batch each,
+    so `_budget`'s bound holds as it did for one fire per pop; past `budget`
+    it raises EngineError, and so does a layer-n vertex, before its batch.
     """
-    n, budget = _budget(N, k)
-    key = _priority(strategy, seed)
-    size = repunit(n, k)
-    if size > NODE_BUDGET:
-        raise TreeSizeError(f"{_pile(N, k)} touches about {format_int(size)} nodes "
-                            f"(budget {format_int(NODE_BUDGET)})")
-
     threshold = k + 1
-    # a gain queues a vertex only as it reaches k+1 chips, unless the key is the count
-    count_keyed = strategy == "max-chips"
-    last = size // k  # repunit(n - 1): the first vertex of layer n
-    chips = [0] * size
-    fires = [0] * size
-    chips[0] = N
-    heap = [(key(0, N), N, 0)] if N >= threshold else []
-
-    steps = 0
+    last = len(chips) // k  # repunit(n - 1): the first vertex of layer n
+    root = chips[0]
+    heap = [(key(0, root), root, 0)] if root >= threshold else []
     while heap:
         _, count, v = heappop(heap)
         if chips[v] != count:
@@ -179,8 +243,7 @@ def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
         if steps > budget:
             raise EngineError(f"step budget {format_int(budget)} exceeded at "
                               f"{_pile(N, k)}")
-
-    return certify(N, k, *_collect(N, k, n, chips, fires))
+    return steps
 
 
 def _collect(N: int, k: int, n: int, chips: list[int],

@@ -66,10 +66,11 @@ class DigitString:
 
     def __post_init__(self) -> None:
         _require_at_least("radix", self.radix, 2)
-        for d in self.digits:
-            if not 0 <= d < self.radix:
-                raise ValueError(f"digit {format_int(d)} out of range for radix "
-                                 f"{format_int(self.radix)}")
+        present = set(self.digits)  # at most radix values when every digit is in range
+        if present and not 0 <= min(present) <= max(present) < self.radix:
+            d = next(d for d in self.digits if not 0 <= d < self.radix)
+            raise ValueError(f"digit {format_int(d)} out of range for radix "
+                             f"{format_int(self.radix)}")
 
     def value(self) -> int:
         return _join(self.digits, self.radix)
@@ -264,14 +265,14 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     closed form.  A failure raises AssertionError naming a layer whose
     equation fails and the pile.  With f it returns the pile's `SimResult`,
     whose total fires is sum f_i.k^i over the k^i vertices of each layer; it
-    is the only code that builds one.  Without f it returns None.
+    is the only code that builds one.  Without f it returns None.  Either
+    way c must not be empty: a pile of N >= 1 chips holds some on layer 1.
 
     With f: every c_i lies in 1..k, the last layer does not fire,
     f_(n-1) = 0, and N.e0 - L.f = c, where L is the layer matrix of
     `engine.simulate_layers`: row 0 is N - k.f_0 + k.f_1 = c_0 and row
-    i > 0 is f_(i-1) - (k+1).f_i + k.f_(i+1) = c_i, with f_n = 0, and c is
-    not empty: a pile of N >= 1 chips holds some on layer 1.  Nothing more
-    is needed, f >= 0 included.
+    i > 0 is f_(i-1) - (k+1).f_i + k.f_(i+1) = c_i, with f_n = 0.  Nothing
+    more is needed, f >= 0 included.
     Weighting row i by k^i telescopes the rows to
     sum c_i.k^i = N - k^n.f_(n-1) = N, and digits in 1..k make c the
     bijective base-k numeral of N, which is unique (k-adic notation;
@@ -297,6 +298,12 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
                              f"{format_int(ci)} chips per vertex, outside "
                              f"1..{format_int(k)}")
     n = len(c)
+    if not n:
+        if N:
+            raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
+                                 "are left for layer 1")
+        raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
+                             "N >= 1")
     if f is None:
         r = N
         for i, ci in enumerate(c):
@@ -313,12 +320,6 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     if len(f) != n:
         raise AssertionError(f"{_certifying(N, k)}: {format_int(len(f))} layers fire, "
                              f"{format_int(n)} hold chips")
-    if not n:
-        if N:
-            raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
-                                 "are left for layer 1")
-        raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
-                             "N >= 1")
     if f[-1]:
         raise AssertionError(f"{_certifying(N, k)}: layer {format_int(n)} fires "
                              f"{format_int(f[-1])} times per vertex, not 0")

@@ -172,36 +172,48 @@ def test_verify_runs_one_avalanche_stream_per_k(monkeypatch):
     assert layer_runs == []
 
 
-def _record_simulate(monkeypatch):
-    calls = []
-    real = engine.simulate
+def _record_node_runs(monkeypatch):
+    # each node_avalanche stream as (k, top, strategy, seed, piles read), and
+    # each simulate run from zero as (N, k, strategy, seed)
+    streams, from_zero = [], []
+    real_stream, real_simulate = engine.node_avalanche, engine.simulate
+
+    def counted_stream(k, top, strategy, seed):
+        record = [k, top, strategy, seed, 0]
+        streams.append(record)
+        for result in real_stream(k, top, strategy, seed):
+            record[-1] += 1
+            yield result
 
     def counted_simulate(N, k, **kw):
-        calls.append((N, k, kw["strategy"], kw["seed"]))
-        return real(N, k, **kw)
+        from_zero.append((N, k, kw["strategy"], kw["seed"]))
+        return real_simulate(N, k, **kw)
 
+    monkeypatch.setattr(engine, "node_avalanche", counted_stream)
     monkeypatch.setattr(engine, "simulate", counted_simulate)
-    return calls
+    return streams, from_zero
 
 
 def test_verify_runs_each_firing_order_once(monkeypatch):
-    # bfs and max-chips read no seed, so they run once per pile; random runs
-    # once per seed
-    calls = _record_simulate(monkeypatch)
+    # bfs and max-chips read no seed, so they run once per k; random runs once
+    # per seed: one stream over every pile, and one run from zero at the top pile
+    streams, from_zero = _record_node_runs(monkeypatch)
     code, out, _ = run(["verify", "-k", "2", "-N", "10", "--strategies", "all",
                         "--seeds", "3"])
     assert code == 0, out
     orders = [("bfs", 0), ("max-chips", 0), ("random", 0), ("random", 1), ("random", 2)]
-    assert calls == [(N, 2, *order) for N in range(1, 11) for order in orders]
+    assert streams == [[2, 10, *order, 10] for order in orders]
+    assert from_zero == [(10, 2, *order) for order in orders]
     assert "k=2: confluent over 5 node-level runs for N=1..10" in out
 
 
 def test_verify_drops_duplicate_strategies(monkeypatch):
-    calls = _record_simulate(monkeypatch)
+    streams, from_zero = _record_node_runs(monkeypatch)
     code, out, _ = run(["verify", "-k", "2..3", "-N", "5", "--strategies", "bfs,bfs",
                         "--seeds", "2"])
     assert code == 0, out
-    assert calls == [(N, k, "bfs", 0) for k in (2, 3) for N in range(1, 6)]
+    assert streams == [[k, 5, "bfs", 0, 5] for k in (2, 3)]
+    assert from_zero == [(5, k, "bfs", 0) for k in (2, 3)]
     assert "k=3: confluent over 1 node-level runs for N=1..5" in out
 
 
@@ -263,18 +275,18 @@ def test_every_route_runs_in_the_product(monkeypatch):
 
 
 def test_verify_fail_line_names_the_smallest_failing_pile(monkeypatch):
-    # a node-level run is wrong at N = 5 and a formula route at N = 9: the
+    # a node-level stream is wrong at N = 5 and a formula route at N = 9: the
     # one FAIL line is about N = 5, whichever check found it
-    real_simulate = engine.simulate
+    real_stream = engine.node_avalanche
     real_root_fires = formulas.root_fires
 
-    def wrong_at_5(N, k, **kw):
-        result = real_simulate(N, k, **kw)
-        if N == 5:
-            return dataclasses.replace(result, total_fires=result.total_fires + 1)
-        return result
+    def wrong_at_5(k, top, strategy, seed):
+        for N, result in enumerate(real_stream(k, top, strategy, seed), 1):
+            if N == 5:
+                result = dataclasses.replace(result, total_fires=result.total_fires + 1)
+            yield result
 
-    monkeypatch.setattr(engine, "simulate", wrong_at_5)
+    monkeypatch.setattr(engine, "node_avalanche", wrong_at_5)
     monkeypatch.setitem(formulas.ROUTES, "root_fires",
                         (lambda N, k: real_root_fires(N, k) + (N == 9),
                          formulas.root_fires_rec))
@@ -283,6 +295,30 @@ def test_verify_fail_line_names_the_smallest_failing_pile(monkeypatch):
     (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
     assert fail == ("FAIL: total_fires(5, 2): routes disagree: avalanche 2, "
                     "bfs seed 0 3, total_fires 2, total_fires_rec 2")
+
+
+def test_verify_compares_a_run_from_zero_at_the_top_node_level_pile(monkeypatch):
+    # a run wrong only when settled from zero shows at node-N, the one pile that
+    # runs it, before a formula route wrong at a larger pile
+    real_simulate = engine.simulate
+    real_root_fires = formulas.root_fires
+
+    def one_fire_too_many(N, k, **kw):
+        result = real_simulate(N, k, **kw)
+        return dataclasses.replace(result, total_fires=result.total_fires + 1)
+
+    monkeypatch.setattr(engine, "simulate", one_fire_too_many)
+    monkeypatch.setitem(formulas.ROUTES, "root_fires",
+                        (lambda N, k: real_root_fires(N, k) + (N == 15),
+                         formulas.root_fires_rec))
+    code, out, err = run(["verify", "-k", "2", "-N", "20", "--strategies", "bfs",
+                          "--node-N", "12"])
+    assert code == 1 and not err
+    total = format_int(formulas.total_fires(12, 2))
+    assert out == (f"FAIL: total_fires(12, 2): routes disagree: avalanche {total}, "
+                   f"bfs seed 0 {total}, bfs seed 0 from zero "
+                   f"{format_int(formulas.total_fires(12, 2) + 1)}, "
+                   f"total_fires {total}, total_fires_rec {total}\n")
 
 
 def _off_by_one(route):

@@ -3,7 +3,8 @@ import ast
 import pytest
 
 from chipfire import engine
-from chipfire.engine import STRATEGIES, TreeSizeError, avalanche, simulate, simulate_layers
+from chipfire.engine import (STRATEGIES, TreeSizeError, avalanche, node_avalanche, simulate,
+                             simulate_layers)
 from chipfire.formulas import total_fires
 from chipfire.numerics import height_index, repunit, stable_config
 
@@ -190,6 +191,53 @@ def test_step_budget_bounds_total_fires():
 def test_node_budget_guard():
     with pytest.raises(TreeSizeError):
         simulate(2**40, 2)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_node_avalanche_refuses_a_big_tree_where_simulate_does(monkeypatch, strategy):
+    # with room for 20 nodes, the first pile refused is the first of 5 layers
+    # at k = 2 (31 nodes) and of 4 at k = 3 (40 nodes), in both entry points
+    monkeypatch.setattr(engine, "NODE_BUDGET", 20)
+    for k, first in ((2, 31), (3, 40)):
+        with pytest.raises(TreeSizeError) as from_zero:
+            simulate(first, k, strategy=strategy)
+        assert str(from_zero.value) == (f"N={first}, k={k} touches about {first} nodes "
+                                        "(budget 20)")
+        simulate(first - 1, k, strategy=strategy)
+        stream = node_avalanche(k, first + 5, strategy, seed=3)
+        assert len([next(stream) for _ in range(first - 1)]) == first - 1
+        with pytest.raises(TreeSizeError) as streamed:
+            next(stream)
+        assert str(streamed.value) == str(from_zero.value)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_broken_node_settle_fails_at_the_first_pile_it_breaks(monkeypatch, strategy):
+    # a settle that fires layer 2 fires every vertex there once more: the
+    # stream's certificate rejects the first pile whose avalanche reaches layer 2
+    k = 3
+    # layer 2's fires per vertex for piles 0..39, 0 while there is no layer 2
+    layer_2 = [0] + [sum(simulate_layers(N, k).fires_by_layer[1:2]) for N in range(1, 40)]
+    first = next(N for N in range(2, 40) if layer_2[N] > layer_2[N - 1])
+    right = layer_2[first]
+    real = engine._settle_nodes
+
+    def broken(N, k, n, chips, fires, *rest):
+        before = fires[1] if len(fires) > 1 else 0
+        steps = real(N, k, n, chips, fires, *rest)
+        if len(fires) > 1 and fires[1] > before:
+            for v in range(1, k + 1):
+                fires[v] += 1
+        return steps
+
+    monkeypatch.setattr(engine, "_settle_nodes", broken)
+    stream = node_avalanche(k, 40, strategy, seed=1)
+    assert [next(stream) for _ in range(first - 1)] == [
+        simulate_layers(N, k) for N in range(1, first)]
+    with pytest.raises(AssertionError) as exc:
+        next(stream)
+    assert str(exc.value) == (f"certify({first}, {k}): layer 2 fires {right + 1} times "
+                              f"per vertex, not {right}")
 
 
 def test_rejects_bad_arguments():

@@ -258,7 +258,8 @@ def test_certify_names_the_layer_of_a_wrong_digit():
     ((18, 3, (3, 2)), "1 chips per vertex are left for layer 3"),
     ((0, 3, (3, 2)), "-1 chips per vertex are left for layer 3"),
     ((9, 3, (3, 2, 1)), "layer 3 holds 1 chips per vertex, not 3"),
-    ((0, 2, (), ()), "no layer holds chips; a pile needs N >= 1"),  # without f, accepted
+    ((0, 2, (), ()), "no layer holds chips; a pile needs N >= 1"),
+    ((0, 2, ()), "no layer holds chips; a pile needs N >= 1"),
 ])
 def test_certify_rejects(args, message):
     with pytest.raises(AssertionError) as exc:
@@ -344,6 +345,10 @@ RANGE_CHECKS = [  # (id, call, its message)
     ("avalanche-top", lambda: next(engine.avalanche(2, NEG)),
      f"need top >= 0, got {NEG_TEXT}"),
     ("avalanche-k", lambda: next(engine.avalanche(NEG, 5)),
+     f"branching factor must be >= 2, got {NEG_TEXT}"),
+    ("node_avalanche-top", lambda: next(engine.node_avalanche(2, NEG)),
+     f"need top >= 0, got {NEG_TEXT}"),
+    ("node_avalanche-k", lambda: next(engine.node_avalanche(NEG, 5)),
      f"branching factor must be >= 2, got {NEG_TEXT}"),
     ("simulate-size", lambda: engine.simulate(BIG + 1, 10),
      f"N=1{'0' * 5001}, k=10 touches about {'1' * 5001} nodes (budget 10000000)"),

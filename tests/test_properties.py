@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from chipfire import engine, formulas
-from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, avalanche, simulate,
-                             simulate_layers)
+from chipfire.engine import (STRATEGIES, _odometer_floor, _priority, avalanche, node_avalanche,
+                             simulate, simulate_layers)
 from chipfire.formulas import (fire_profile, root_fires, total_fires, total_fires_rec,
                                vertex_fires)
 from chipfire.numerics import (DigitString, certify, format_int, height_index, parse_int,
@@ -68,6 +68,14 @@ def test_engines_and_formulas_give_one_answer(N, k):
 def test_avalanche_settles_every_pile_as_the_layer_engine_does(k, top):
     stream = list(avalanche(k, top))
     assert stream == [simulate_layers(N, k) for N in range(1, top + 1)]
+
+
+@bounded(50)
+@given(k=st.integers(2, 6), top=st.integers(0, 300),
+       strategy=st.sampled_from(STRATEGIES), seed=st.integers(0, 2**32 - 1))
+def test_node_avalanche_settles_every_pile_as_simulate_does_from_zero(k, top, strategy, seed):
+    stream = list(node_avalanche(k, top, strategy, seed))
+    assert stream == [simulate(N, k, strategy=strategy, seed=seed) for N in range(1, top + 1)]
 
 
 def _one_fire_per_pop(N, k, strategy, seed):
