@@ -35,7 +35,6 @@ from .numerics import (
     to_base,
 )
 from .schizo import (
-    BlockReport,
     DigitDump,
     block_report,
     inv_sqrt_digits,
@@ -54,7 +53,6 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockReport",
     "D_diff",
     "DigitDump",
     "DigitString",

@@ -160,29 +160,24 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _blocks_payload(report: schizo.BlockReport) -> list[dict]:
-    return [{"digit": b.digit, "start": b.start, "length": b.length}
-            for b in report.blocks]
-
-
 def cmd_schizo(args) -> int:
     value = formulas.a_seq(args.n, args.k)
     if args.inverse:
         dump = schizo.inv_sqrt_digits(value, args.precision)
     else:
         dump = schizo.sqrt_digits(value, args.precision)
-    report = schizo.block_report(dump, min_run=args.min_run)
+    blocks = schizo.block_report(dump, min_run=args.min_run)
     if args.format == "json":
         print(sequences.json_text({"subject": dump.subject, "value": value,
                                    "digits": str(dump), "precision": dump.precision,
-                                   "blocks": _blocks_payload(report)}))
+                                   "blocks": [vars(b) for b in blocks]}))
     else:
         print(f"a({format_int(args.n)}, {format_int(args.k)}) = {format_int(value)}")
         print(f"{dump.subject} = {dump}")
         min_run = format_int(args.min_run)
-        if report.blocks:
+        if blocks:
             print(f"repeated-digit blocks (run >= {min_run}):")
-            for b in report.blocks:
+            for b in blocks:
                 print(f"  digit {format_int(b.digit)} at offset {format_int(b.start)}, "
                       f"length {format_int(b.length)}")
         else:
@@ -212,17 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "self-loop at the root.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stable", help="stable configuration for N chips")
-    p.add_argument("-N", type=_decimal, required=True, help="chip count (>= 1)")
-    p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
-    p.add_argument("--format", "-f", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_stable)
-
-    p = sub.add_parser("fires", help="per-layer, root, and total fire counts")
-    p.add_argument("-N", type=_decimal, required=True, help="chip count (>= 1)")
-    p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
-    p.add_argument("--format", "-f", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_fires)
+    for name, func, about in (("stable", cmd_stable, "stable configuration for N chips"),
+                              ("fires", cmd_fires, "per-layer, root, and total fire counts")):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("-N", type=_decimal, required=True, help="chip count (>= 1)")
+        p.add_argument("-k", type=_decimal, required=True, help="branching factor (>= 2)")
+        p.add_argument("--format", "-f", choices=FORMATS, default="table")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("seq", help="generate a named sequence window")
     p.add_argument("id", help="sequence id: " + ", ".join(sequences.SEQUENCE_NAMES))

@@ -30,9 +30,12 @@ Two engines are provided:
   leaves it with k+1 or more, and an entry whose count is no longer the
   vertex's count is dropped when popped.  So a strategy orders batches of
   fires, one batch per pop.  One loop, `_settle_nodes`, fires them and
-  holds the step budget, the layer-n refusal and the stale-entry rule.  It
-  has two entry points, which differ only in the state it starts from;
-  in both, only the root may be eligible:
+  holds the step budget, the layer-n refusal and the stale-entry rule.  One
+  pile loop, `_node_piles`, builds the tree and settles each pile of an
+  increasing sequence on the vertices the last pile left, adding the new
+  chips at the root and growing the tree when a pile's height index grows;
+  so only the root may be eligible when `_settle_nodes` starts.  It has two
+  callers:
   - `simulate(N, k, strategy, seed)` settles one pile from zero, all N
     chips on the root;
   - `node_avalanche(k, top, strategy, seed)` yields every pile N = 1..top
@@ -43,9 +46,9 @@ Two engines are provided:
   carries the same count under the parallel strategy) and fires whole
   layers in batches, in one loop, `_settle`, which holds the step budget
   and the layer-n refusal.  It keeps a stack of the eligible layers, each
-  once and in ascending order, and always fires the deepest.  It has two
-  entry points, which differ only in the state and the stack `_settle`
-  starts from:
+  once and in ascending order, and always fires the deepest; every layer it
+  pops is eligible.  It has two entry points, which differ only in the
+  state and the stack `_settle` starts from:
   - `simulate_layers(N, k)` settles one pile from a lower bound on the
     fires of each layer, with every layer that then holds k+1 or more
     chips on the stack, so a 50- to 1000-digit pile takes 0.04-0.11 n^2
@@ -54,7 +57,8 @@ Two engines are provided:
     hundreds of digits;
   - `avalanche(k, top)` yields every pile N = 1..top in turn: pile N is
     pile N-1 plus one chip at the root, settled from a stack holding only
-    the root, and a layer is added when N reaches repunit(n+1).
+    the root once it holds k+1 chips, and a layer is added when N reaches
+    repunit(n+1).
 
 Both engines take piles of N >= 1 chips, the domain of the height index,
 and end in `certify`: `numerics.certify`, the odometer certificate, proves
@@ -67,7 +71,7 @@ no pile after a wrong one is yielded.  Neither engine imports `formulas`;
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 
 from .numerics import (SimResult, _require_at_least, _require_k, certify, format_int,
@@ -118,67 +122,69 @@ def _priority(strategy: str, seed: int):
     raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
 
-def _check_tree_size(N: int, k: int, size: int) -> None:
-    if size > NODE_BUDGET:
-        raise TreeSizeError(f"{_pile(N, k)} touches about {format_int(size)} nodes "
-                            f"(budget {format_int(NODE_BUDGET)})")
-
-
 def simulate(N: int, k: int, strategy: str = "bfs", seed: int = 0) -> SimResult:
     """Stabilize N chips dropped on the root, one vertex's batch of fires at a time.
 
     The order of the batches follows `strategy` ("bfs", "max-chips" or
     "random"); `seed` only matters for the random strategy, which draws one
     key each time a vertex is queued.  Raises TreeSizeError when the run
-    would touch more than NODE_BUDGET nodes.  `_settle_nodes` fires the
-    batches, from the root holding all N chips.
+    would touch more than NODE_BUDGET nodes.  The one-pile case of
+    `_node_piles`: the root takes all N chips at once.
     """
-    n, budget = _budget(N, k)
-    key = _priority(strategy, seed)
-    size = repunit(n, k)
-    _check_tree_size(N, k, size)
-    chips = [0] * size
-    fires = [0] * size
-    chips[0] = N
-    _settle_nodes(N, k, n, chips, fires, key, strategy == "max-chips", 0, budget)
-    return certify(N, k, *_collect(N, k, n, chips, fires))
+    height_index(N, k)  # k, then N, are refused before the strategy
+    return next(_node_piles(k, (N,), strategy, seed))
 
 
 def node_avalanche(k: int, top: int, strategy: str = "bfs",
                    seed: int = 0) -> Iterator[SimResult]:
     """Yield `simulate(N, k, strategy, seed)`'s result for every pile N = 1..top.
 
-    The node-level twin of `avalanche`: pile N is pile N-1 plus one chip at
-    the root, settled by `_settle_nodes` in the order of `strategy`, on the
-    vertices the last pile left.  When N reaches repunit(n+1), the tree gains
-    layer n+1, its k^n vertices empty; a pile that would pass NODE_BUDGET
-    nodes raises TreeSizeError there, as `simulate` does on that pile.  One
-    `random.Random(seed)` draws the keys of the whole stream.  Each pile ends
-    in `_collect` and `certify`, so a pile whose run is wrong raises there,
-    before any later pile is yielded.
-
-    Each pile is a legal firing sequence from N chips at the root in this
-    order: the fires of every pile so far, in turn.  So, by the abelian
-    property, it ends where `simulate` from zero does.  The steps so far are
-    the total fires of N, which `_budget` bounds by N(n-1)/(k-1).
+    The node-level twin of `avalanche`, and the case of `_node_piles` that
+    adds one chip at the root per pile; `top` and `k` are checked at the
+    call, the strategy at the first pile, and one `random.Random(seed)`
+    draws the keys of the whole stream.  Each pile is a legal firing
+    sequence from N chips at the root in this order: the fires of every
+    pile so far, in turn.  So, by the abelian property, it ends where
+    `simulate` from zero does.
     """
     _require_at_least("top", top, 0)
     _require_k(k)
+    return _node_piles(k, range(1, top + 1), strategy, seed)
+
+
+def _node_piles(k: int, piles: Iterable[int], strategy: str,
+                seed: int) -> Iterator[SimResult]:
+    """Settle each pile of the increasing sequence `piles` on what the last one left.
+
+    Pile N adds its new chips at the root and runs `_settle_nodes` in the
+    order of `strategy`, on the vertices the last pile left; the first pile
+    starts from the empty tree.  When N reaches repunit(n+1), the tree grows
+    to its height index's layers, the new vertices empty; a pile that would
+    pass NODE_BUDGET nodes raises TreeSizeError there.  Each pile ends in
+    `_collect` and `certify`, so a pile whose run is wrong raises there,
+    before any later pile is yielded.  The steps so far are the total fires
+    of N, which `_budget` bounds by N(n-1)/(k-1); the height index is
+    computed only where the tree grows.
+    """
     key = _priority(strategy, seed)
     count_keyed = strategy == "max-chips"
     chips: list[int] = []
     fires: list[int] = []
-    n = steps = 0
-    deeper = 1  # repunit(n+1): the first pile with one more layer, and its node count
-    for N in range(1, top + 1):
-        if N == deeper:
-            _check_tree_size(N, k, deeper)
-            layer = [0] * (deeper - len(chips))
-            chips += layer
-            fires += layer
-            n += 1
-            deeper = k * deeper + 1
-        chips[0] += 1
+    n = steps = held = 0
+    deeper = 1  # repunit(n+1): the first pile with more layers
+    for N in piles:
+        if N >= deeper:
+            n = height_index(N, k)
+            size = repunit(n, k)
+            if size > NODE_BUDGET:
+                raise TreeSizeError(f"{_pile(N, k)} touches about {format_int(size)} "
+                                    f"nodes (budget {format_int(NODE_BUDGET)})")
+            layers = [0] * (size - len(chips))
+            chips += layers
+            fires += layers
+            deeper = k * size + 1
+        chips[0] += N - held
+        held = N
         steps = _settle_nodes(N, k, n, chips, fires, key, count_keyed, steps,
                               N * (n - 1) // (k - 1))
         yield certify(N, k, *_collect(N, k, n, chips, fires))
@@ -346,11 +352,11 @@ def avalanche(k: int, top: int) -> Iterator[SimResult]:
     By the abelian property (Dhar, PRL 64, 1990; Bjorner, Lovasz and Shor,
     1991) the stable configuration of N+1 chips is that of N with one more
     chip at the root, settled, and the fires of N+1 are the fires of N plus
-    that one avalanche.  So each pile adds one chip to the root and runs
-    `_settle` on the state the last pile left.  A layer is added exactly
-    when N reaches repunit(n+1), the first pile of height index n+1.  Each
-    pile ends in `certify`, so a pile whose run is wrong raises there, before
-    any later pile is yielded.
+    that one avalanche.  So each pile adds one chip to the root and, when
+    the root then holds k+1 chips, runs `_settle` on the state the last
+    pile left.  A layer is added exactly when N reaches repunit(n+1), the
+    first pile of height index n+1.  Each pile ends in `certify`, so a pile
+    whose run is wrong raises there, before any later pile is yielded.
 
     The step budget holds pile by pile: the steps so far are sum(fires)
     <= the total fires of N, which `_budget` bounds by N(n-1)/(k-1).
@@ -367,7 +373,8 @@ def avalanche(k: int, top: int) -> Iterator[SimResult]:
             fires.append(0)
             deeper = k * deeper + 1
         chips[0] += 1
-        steps = _settle(N, k, chips, fires, [0], steps, N * (len(chips) - 1) // (k - 1))
+        if chips[0] > k:  # `_settle` pops only eligible layers
+            steps = _settle(N, k, chips, fires, [0], steps, N * (len(chips) - 1) // (k - 1))
         yield certify(N, k, chips, fires)
 
 
@@ -383,12 +390,12 @@ def _settle(N: int, k: int, chips: list[int], fires: list[int], stack: list[int]
     neighbour is pushed when that batch takes it from k or fewer chips to
     k+1 or more.  No layer below the popped one was eligible and the
     parent is pushed before the child, so the stack keeps each eligible
-    layer once, in ascending order.  A popped layer holding k or fewer
-    chips is skipped; only the avalanche's root, which one chip may not
-    tip, is one.  By the abelian property the order of the batches changes
-    neither the fires nor the stable chips.  `steps` counts on from the
-    value passed in, and raises EngineError past `budget`; a layer-n fire
-    raises too, since its chips would leave the truncated tree.
+    layer once, in ascending order.  A layer only gains chips while it is
+    on the stack, so every popped layer is eligible.  By the abelian
+    property the order of the batches changes neither the fires nor the
+    stable chips.  `steps` counts on from the value passed in, and raises
+    EngineError past `budget`; a layer-n fire raises too, since its chips
+    would leave the truncated tree.
     """
     n = len(chips)
     threshold = k + 1
@@ -397,8 +404,6 @@ def _settle(N: int, k: int, chips: list[int], fires: list[int], stack: list[int]
     while stack:
         i = pop()
         count = chips[i]
-        if count < threshold:
-            continue
         if i + 1 == n:
             raise EngineError(
                 f"layer {format_int(n)} would fire ({_pile(N, k)}); "

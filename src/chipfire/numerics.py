@@ -282,8 +282,11 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     least action principle (Fey, Levine and Peres, J. Stat. Phys., 2010) in
     exact form.  Row i > 0 reads f_(i-1) - f_i = c_i + k.(f_i - f_(i+1)),
     so the rows are checked from the last layer up as differences, each
-    fixing the fires of the layer above it; one wrong fire count is named
-    at its own layer.  The same loop sums the total by Horner's rule.
+    fixing the fires of the layer above it.  The same loop sums the total
+    by Horner's rule.  A failure with f runs the check without f first, so
+    a wrong chip count is named as chips, with or without f; with c right,
+    row 0 follows from the other rows, and one wrong fire count is named at
+    its own layer.
 
     Without f: c_i in 1..k and sum c_i.k^i = N, which by the same
     uniqueness make c the stable configuration.  The sum is Horner's rule
@@ -304,37 +307,39 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
                                  "are left for layer 1")
         raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
                              "N >= 1")
+    if f is not None and len(f) == n and not f[-1]:
+        delta = 0  # f_i - f_(i+1), from i = n-1 up
+        total = 0  # Horner's rule over f from the last layer up; f_(n-1) = 0 adds nothing
+        for i in range(n - 1, 0, -1):
+            delta = c[i] + k * delta  # row i fixes f_(i-1) - f_i
+            if f[i - 1] - f[i] != delta:
+                break
+            total = total * k + f[i - 1]
+        else:
+            if N - k * delta == c[0]:  # row 0, with delta = f_0 - f_1
+                return SimResult(k=k, n=n, stable_chips=tuple(c), fires_by_layer=tuple(f),
+                                 root_fires=f[0], total_fires=total)
+    # without f, or with f and a failed check: a wrong chip count is named first
+    r = N
+    for j, cj in enumerate(c):
+        r, rest = divmod(r - cj, k)
+        if rest:
+            digit = (cj + rest - 1) % k + 1  # the digit of 1..k that divides
+            raise AssertionError(f"{_certifying(N, k)}: layer {format_int(j + 1)} "
+                                 f"holds {format_int(cj)} chips per vertex, not "
+                                 f"{format_int(digit)}")
+    if r:  # N = sum c_i.k^i + r.k^n
+        raise AssertionError(f"{_certifying(N, k)}: {format_int(r)} chips per vertex "
+                             f"are left for layer {format_int(n + 1)}")
     if f is None:
-        r = N
-        for i, ci in enumerate(c):
-            r, rest = divmod(r - ci, k)
-            if rest:
-                digit = (ci + rest - 1) % k + 1  # the digit of 1..k that divides
-                raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i + 1)} "
-                                     f"holds {format_int(ci)} chips per vertex, not "
-                                     f"{format_int(digit)}")
-        if r:  # N = sum c_i.k^i + r.k^n
-            raise AssertionError(f"{_certifying(N, k)}: {format_int(r)} chips per vertex "
-                                 f"are left for layer {format_int(n + 1)}")
-        return
+        return None
     if len(f) != n:
         raise AssertionError(f"{_certifying(N, k)}: {format_int(len(f))} layers fire, "
                              f"{format_int(n)} hold chips")
     if f[-1]:
         raise AssertionError(f"{_certifying(N, k)}: layer {format_int(n)} fires "
                              f"{format_int(f[-1])} times per vertex, not 0")
-    delta = 0  # f_i - f_(i+1), from i = n-1 up
-    total = 0  # Horner's rule over f from the last layer up; f_(n-1) = 0 adds nothing
-    for i in range(n - 1, 0, -1):
-        delta = c[i] + k * delta  # row i fixes f_(i-1) - f_i
-        if f[i - 1] - f[i] != delta:
-            raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i)} fires "
-                                 f"{format_int(f[i - 1])} times per vertex, "
-                                 f"not {format_int(f[i] + delta)}")
-        total = total * k + f[i - 1]
-    if N - k * delta != c[0]:  # row 0, with delta = f_0 - f_1
-        raise AssertionError(f"{_certifying(N, k)}: layer 1 ends with "
-                             f"{format_int(N - k * delta)} chips per vertex, "
-                             f"not {format_int(c[0])}")
-    return SimResult(k=k, n=n, stable_chips=tuple(c), fires_by_layer=tuple(f),
-                     root_fires=f[0], total_fires=total)
+    # c is N's, so rows 1..n-1 and f_(n-1) = 0 would make row 0 hold: row i broke
+    raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i)} fires "
+                         f"{format_int(f[i - 1])} times per vertex, "
+                         f"not {format_int(f[i] + delta)}")

@@ -40,16 +40,20 @@ class Block:
     length: int  # negative starts reach back into the integer part
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    blocks: tuple[Block, ...]
-
-
-def _split_dump(subject: str, scaled: int, precision: int, radix: int) -> DigitDump:
-    whole, frac = divmod(scaled, radix**precision)
+def _split_dump(subject: str, scaled: int, scale: int, precision: int,
+                radix: int) -> DigitDump:
+    whole, frac = divmod(scaled, scale)
     # a value below 1 dumps as 0.xxx: the shortest expansion of 0 is one 0
     return DigitDump(subject=subject, int_part=to_base(whole, radix),
                      frac_part=to_base(frac, radix, precision), precision=precision)
+
+
+def _scale(x: int, precision: int, radix: int) -> int:
+    """radix^precision, once x, precision and radix are checked."""
+    _require_at_least("radix", radix, 2)
+    _require_at_least("x", x, 1)
+    _require_at_least("precision", precision, 1)
+    return radix**precision
 
 
 def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
@@ -57,12 +61,9 @@ def sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
 
     Computes isqrt(x * radix^(2p)), which is exactly floor(sqrt(x) * radix^p).
     """
-    _require_at_least("radix", radix, 2)
-    _require_at_least("x", x, 1)
-    _require_at_least("precision", precision, 1)
-    scale = radix**precision
+    scale = _scale(x, precision, radix)
     scaled = isqrt(x * scale * scale)
-    return _split_dump(f"sqrt({format_int(x)})", scaled, precision, radix)
+    return _split_dump(f"sqrt({format_int(x)})", scaled, scale, precision, radix)
 
 
 def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
@@ -71,15 +72,12 @@ def inv_sqrt_digits(x: int, precision: int, radix: int = 10) -> DigitDump:
     floor(radix^p / sqrt(x)) equals isqrt(floor(radix^(2p) / x)) because
     floor(sqrt(floor(y))) == floor(sqrt(y)) for y >= 0.
     """
-    _require_at_least("radix", radix, 2)
-    _require_at_least("x", x, 1)
-    _require_at_least("precision", precision, 1)
-    scale = radix**precision
+    scale = _scale(x, precision, radix)
     scaled = isqrt(scale * scale // x)
-    return _split_dump(f"1/sqrt({format_int(x)})", scaled, precision, radix)
+    return _split_dump(f"1/sqrt({format_int(x)})", scaled, scale, precision, radix)
 
 
-def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> BlockReport:
+def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> tuple[Block, ...]:
     """Maximal repeated-digit runs of length >= min_run, in position order.
 
     Runs are found in the combined integer-and-fraction digit stream, so a
@@ -98,9 +96,9 @@ def block_report(dump: DigitDump, min_run: int = DEFAULT_MIN_RUN) -> BlockReport
     text = "".join(map(code.__getitem__, digits))
     least = min(min_run, len(text) + 1)
     runs = re.finditer(rf"(.)\1{{{least - 1},}}", text, re.DOTALL)
-    return BlockReport(blocks=tuple(
-        Block(digit=digits[m.start()], start=m.start() - point, length=m.end() - m.start())
-        for m in runs if m.end() < len(text)))
+    return tuple(Block(digit=digits[m.start()], start=m.start() - point,
+                       length=m.end() - m.start())
+                 for m in runs if m.end() < len(text))
 
 
 @dataclass(frozen=True)
@@ -108,9 +106,9 @@ class SurveyEntry:
     n: int
     value: int
     root: DigitDump
-    root_blocks: BlockReport
+    root_blocks: tuple[Block, ...]
     inverse: DigitDump
-    inverse_blocks: BlockReport
+    inverse_blocks: tuple[Block, ...]
 
 
 def schizo_survey(k: int, n_max: int, precision: int,

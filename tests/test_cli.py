@@ -367,8 +367,8 @@ D5000 = "1" + "0" * 4999 + "7"
      lambda mp: mp.setitem(formulas.ROUTES, "a", (formulas.a_closed,
                                                   _off_by_one(formulas.a_recursive))),
      "a(3, 10): routes disagree"),
-    # the engine's own certificate rejects its run
-    (["verify", "-k", "2", "-N", "30"], _one_root_fire_too_many, "certify(1, 2): layer 1 "),
+    # the engine's own certificate rejects its run, from the first pile whose root tips
+    (["verify", "-k", "2", "-N", "30"], _one_root_fire_too_many, "certify(3, 2): layer 1 "),
     (["verify", "-k", "2..3", "-N", "60"],
      lambda mp: mp.setitem(formulas.ROUTES, "root_fires",
                            (formulas.root_fires, _off_by_one(formulas.root_fires_rec))),
@@ -376,12 +376,14 @@ D5000 = "1" + "0" * 4999 + "7"
     (["fires", "-N", "100", "-k", "3"], _wrong_fires_at_layer_2,
      "certify(100, 3): layer 2 fires "),
     (["stable", "-N", "100", "-k", "3"], _wrong_digit_at_layer_2,
-     "certify(100, 3): layer 2 holds "),
+     "certify(100, 3): layer 2 holds 1 chips per vertex, not 3"),
+    (["fires", "-N", "100", "-k", "3"], _wrong_digit_at_layer_2,  # chips named as chips
+     "certify(100, 3): layer 2 holds 1 chips per vertex, not 3"),
     (["fires", "-N", D5000, "-k", "10"], _wrong_fires_at_layer_2,  # N printed in full
      f"certify({D5000}, 10): layer 2 fires "),
 ], ids=["seq-g0-window-end", "seq-d0-routes", "schizo-routes", "verify-engine",
         "verify-routes", "fires-certificate", "stable-certificate",
-        "fires-certificate-5000-digits"])
+        "fires-certificate-wrong-digit", "fires-certificate-5000-digits"])
 def test_every_disagreement_ends_in_one_fail_line(monkeypatch, argv, patch, named):
     patch(monkeypatch)
     code, out, err = run(argv)

@@ -2,7 +2,7 @@ import ast
 
 import pytest
 
-from chipfire import engine
+from chipfire import cli, engine
 from chipfire.engine import (STRATEGIES, TreeSizeError, avalanche, node_avalanche, simulate,
                              simulate_layers)
 from chipfire.formulas import total_fires
@@ -110,8 +110,9 @@ def test_root_batches_of_one_to_three_fires(strategy):
 
 def test_a_batch_of_t_fires_counts_t_steps(monkeypatch):
     N, k = 200, 2
-    n, _ = engine._budget(N, k)
-    monkeypatch.setattr(engine, "_budget", lambda N, k: (n, total_fires(N, k) - 1))
+    real = engine._settle_nodes
+    monkeypatch.setattr(engine, "_settle_nodes",
+                        lambda *args: real(*args[:-1], total_fires(N, k) - 1))
     with pytest.raises(engine.EngineError, match=r"step budget \d+ exceeded"):
         simulate(N, k)
 
@@ -148,7 +149,7 @@ def test_a_truncated_tree_refuses_to_fire_the_last_layer_of_the_layer_engine(mon
     (lambda stable, by_layer: (stable, by_layer[:1] + [by_layer[1] + 1] + by_layer[2:]),
      r"certify\(200, 2\): layer 2 fires 92 times per vertex, not 91$"),
     (lambda stable, by_layer: (stable[:2] + [3 - stable[2]] + stable[3:], by_layer),
-     r"certify\(200, 2\): layer 2 fires 91 times per vertex, not 92$"),
+     r"certify\(200, 2\): layer 3 holds 2 chips per vertex, not 1$"),
 ], ids=["fires", "chips"])
 def test_result_rejects_a_wrong_layer(monkeypatch, wrong, named):
     # whatever _collect hands over, simulate lets out only a run that certify proved
@@ -238,6 +239,31 @@ def test_a_broken_node_settle_fails_at_the_first_pile_it_breaks(monkeypatch, str
         next(stream)
     assert str(exc.value) == (f"certify({first}, {k}): layer 2 fires {right + 1} times "
                               f"per vertex, not {right}")
+
+
+def test_an_uneven_layer_is_refused_by_every_node_level_run(monkeypatch, capsys):
+    # a settle that leaves one chip moved between two layer-2 vertices
+    real = engine._settle_nodes
+
+    def uneven(N, k, n, chips, fires, *rest):
+        steps = real(N, k, n, chips, fires, *rest)
+        if n > 1:
+            chips[1] -= 1
+            chips[2] += 1
+        return steps
+
+    monkeypatch.setattr(engine, "_settle_nodes", uneven)
+    refusal = "layer 2 not symmetric at stabilization (N={}, k=2)"
+    with pytest.raises(engine.EngineError) as exc:
+        simulate(10, 2)
+    assert str(exc.value) == refusal.format(10)
+    stream = node_avalanche(2, 10)
+    assert [next(stream).n for _ in range(2)] == [1, 1]
+    with pytest.raises(engine.EngineError) as exc:
+        next(stream)  # pile 3, the first with a layer 2
+    assert str(exc.value) == refusal.format(3)
+    assert cli.main(["verify", "-k", "2", "-N", "10", "--strategies", "bfs"]) == 1
+    assert capsys.readouterr().out == f"FAIL: {refusal.format(3)}\n"
 
 
 def test_rejects_bad_arguments():

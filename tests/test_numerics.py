@@ -249,7 +249,7 @@ def test_certify_names_the_layer_of_a_wrong_digit():
 @pytest.mark.parametrize("args,message", [
     ((5, 2, ()), "5 chips per vertex are left for layer 1"),
     ((5, 2, (), ()), "5 chips per vertex are left for layer 1"),
-    ((6, 2, (1, 2), (2, 0)), "layer 1 ends with 2 chips per vertex, not 1"),  # N = 5's
+    ((6, 2, (1, 2), (2, 0)), "layer 1 holds 1 chips per vertex, not 2"),  # N = 5's
     ((9, 3, (3, 2), (2, 1)), "layer 2 fires 1 times per vertex, not 0"),  # f_(n-1) != 0
     ((9, 3, (3, 4), (2, 0)), "layer 2 holds 4 chips per vertex, outside 1..3"),
     ((9, 3, (3, 0)), "layer 2 holds 0 chips per vertex, outside 1..3"),

@@ -28,8 +28,7 @@ from chipfire.formulas import (fire_profile, root_fires, total_fires, total_fire
                                vertex_fires)
 from chipfire.numerics import (DigitString, certify, format_int, height_index, parse_int,
                                repunit, stable_config, to_base)
-from chipfire.schizo import (Block, BlockReport, DigitDump, block_report, inv_sqrt_digits,
-                             sqrt_digits)
+from chipfire.schizo import Block, DigitDump, block_report, inv_sqrt_digits, sqrt_digits
 from chipfire.sequences import (SequenceId, SequenceWindow, difference, emit_bfile,
                                 emit_csv, emit_json, generate)
 from golden.make_cli_transcript import run
@@ -286,7 +285,7 @@ def test_certificate_accepts_the_outcome_and_names_one_wrong_layer(N, k, data):
     digit = (c[i] + step - 1) % k + 1  # another digit of 1..k
     with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} holds "):
         certify(N, k, c[:i] + (digit,) + c[i + 1:])
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=rf"^certify\(\d+, {k}\): layer {i + 1} holds "):
         certify(N, k, c[:i] + (digit,) + c[i + 1:], f)
 
 
@@ -453,7 +452,7 @@ def _blocks_one_digit_at_a_time(dump, min_run):
         if j - i >= min_run:
             blocks.append(Block(digit=stream[i], start=i - point, length=j - i))
         i = j
-    return BlockReport(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 @st.composite

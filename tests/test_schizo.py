@@ -85,36 +85,36 @@ def test_isqrt_contract():
 
 
 def test_block_report_first_example():
-    report = block_report(sqrt_digits(A11, _frac_len(SQRT_A11)), min_run=4)
-    assert Block(digit=5, start=7, length=8) in report.blocks
-    assert Block(digit=6, start=21, length=4) in report.blocks
+    blocks = block_report(sqrt_digits(A11, _frac_len(SQRT_A11)), min_run=4)
+    assert Block(digit=5, start=7, length=8) in blocks
+    assert Block(digit=6, start=21, length=4) in blocks
     # ten leading ones, counted across the decimal point
-    assert report.blocks[0] == Block(digit=1, start=-6, length=10)
+    assert blocks[0] == Block(digit=1, start=-6, length=10)
 
 
 def test_block_report_second_example():
-    report = block_report(sqrt_digits(A19, _frac_len(SQRT_A19)), min_run=6)
-    assert [(b.digit, b.length) for b in report.blocks] == [
+    blocks = block_report(sqrt_digits(A19, _frac_len(SQRT_A19)), min_run=6)
+    assert [(b.digit, b.length) for b in blocks] == [
         (1, 18), (5, 16), (6, 12), (2, 8)]
-    lengths = [b.length for b in report.blocks]
+    lengths = [b.length for b in blocks]
     assert lengths == sorted(lengths, reverse=True)
 
 
 def test_block_report_inverse_blocks_are_zeros():
     for x, fixture in ((A11, INV_A11), (A19, INV_A19)):
-        report = block_report(inv_sqrt_digits(x, _frac_len(fixture)), min_run=4)
-        assert report.blocks
-        assert all(b.digit == 0 for b in report.blocks)
+        blocks = block_report(inv_sqrt_digits(x, _frac_len(fixture)), min_run=4)
+        assert blocks
+        assert all(b.digit == 0 for b in blocks)
 
 
 def test_block_report_edge_cases():
     distinct = DigitDump(subject="x", int_part=DigitString(10, (7,)),
                          frac_part=DigitString(10, (1, 2, 3, 4, 5, 6)),
                          precision=6)
-    assert block_report(distinct, min_run=2).blocks == ()
+    assert block_report(distinct, min_run=2) == ()
     # a perfect square's zero tail touches the window edge: not reportable
-    assert block_report(sqrt_digits(4, 10), min_run=2).blocks == ()
-    assert block_report(sqrt_digits(1, 10), min_run=2).blocks == ()
+    assert block_report(sqrt_digits(4, 10), min_run=2) == ()
+    assert block_report(sqrt_digits(1, 10), min_run=2) == ()
     with pytest.raises(ValueError):
         block_report(distinct, min_run=1)
 
@@ -122,11 +122,11 @@ def test_block_report_edge_cases():
 def test_block_report_min_run_as_long_as_the_dump():
     ones = DigitDump(subject="x", int_part=DigitString(10, (1, 1, 1, 1)),
                      frac_part=DigitString(10, (2,)), precision=1)
-    assert block_report(ones, min_run=4).blocks == (Block(digit=1, start=-4, length=4),)
+    assert block_report(ones, min_run=4) == (Block(digit=1, start=-4, length=4),)
     # no run outlasts the dump, so a longer min_run, past the regex repeat limit
     # too, finds nothing
     for min_run in (5, 6, 10**30):
-        assert block_report(ones, min_run=min_run).blocks == ()
+        assert block_report(ones, min_run=min_run) == ()
 
 def test_survey_covers_examples():
     entries = schizo_survey(10, 11, 60, min_run=4)
@@ -134,12 +134,12 @@ def test_survey_covers_examples():
     last = entries[-1]
     assert last.value == A11
     assert str(last.root).startswith(SQRT_A11)
-    assert any(b.digit == 5 and b.length == 8 for b in last.root_blocks.blocks)
+    assert any(b.digit == 5 and b.length == 8 for b in last.root_blocks)
 
     trivial = schizo_survey(10, 1, 10, min_run=2)
     assert len(trivial) == 1
     assert str(trivial[0].root) == "1.0000000000"
-    assert trivial[0].root_blocks.blocks == ()
+    assert trivial[0].root_blocks == ()
 
 
 def test_survey_other_bases_are_consistent():

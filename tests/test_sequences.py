@@ -129,8 +129,9 @@ def test_emit_bfile_format():
     assert len(lines) == 14
     assert lines[-1] == "14 18\n"
 
-    with pytest.raises(ValueError):
-        emit_bfile(SequenceWindow(SequenceId("g0", 2), 1, ()), io.StringIO())
+    for emit in (emit_bfile, emit_csv, emit_json):
+        with pytest.raises(ValueError, match="^refusing to emit an empty window$"):
+            emit(SequenceWindow(SequenceId("g0", 2), 1, ()), io.StringIO())
 
 
 def test_emit_csv():
