@@ -6,11 +6,14 @@ chip count to its unique stable per-layer configuration.  No floating point
 appears anywhere on a numeric path.
 
 This module is the package's only conversion between integers and digits.
-One divide-and-conquer splitter turns an integer into base-k digits
-(`to_base`) and digits back into an integer (`DigitString.value`): a width w
-splits into its low floor(w/2) digits and the rest at the power
-k^floor(w/2), until a piece has at most 32 digits.  `format_int` and
-`parse_int` are the decimal text of every integer the package prints or
+One divide-and-conquer splitter, `_split`, turns an integer into base-k
+digits and its inverse, `_join`, turns digits back into an integer: a width
+w splits into its low floor(w/2) digits and the rest at the power
+k^floor(w/2), until a piece has at most 32 digits.  `to_base` and
+`DigitString` wrap them with argument checks; `stable_config` and
+`parse_int` call them directly, because the height index and the decimal
+regex have already fixed the range of their digits.  `format_int`
+and `parse_int` are the decimal text of every integer the package prints or
 parses, messages included; they ask str() and int() first and use the
 splitter only when those refuse a value past the interpreter's digit limit,
 so no size of integer is refused and the limit is never read or lifted.
@@ -22,7 +25,9 @@ fires per layer are a pile's outcome.  It returns that outcome as a
 `SimResult`, the one shape of a pile's answer, which no other code builds.
 Every engine run and every `stable` and `fires` answer of the CLI passes
 through it, and every total fires that an engine returns or the CLI prints
-is its sum.
+is its sum.  Each check runs once: a wrong chip count, in or out of 1..k, is
+named by one walk from the root, so of two faults the one nearer the root
+is named.
 """
 
 from __future__ import annotations
@@ -222,8 +227,7 @@ def parse_int(text: str) -> int:
     if match is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     sign, body = match.groups()
-    digits = tuple(ord(c) - 48 for c in body.replace("_", ""))
-    value = DigitString(radix=10, digits=digits).value()
+    value = _join(tuple(ord(c) - 48 for c in body.replace("_", "")), 10)
     return -value if sign == "-" else value
 
 
@@ -246,12 +250,15 @@ def stable_config(N: int, k: int) -> tuple[int, ...]:
     c[i] is the count on every vertex of layer i+1 (root = layer 1): one more
     than digit i of N - repunit(n, k) in base k, where n = len(c) is the
     height index of N.  Each c[i] lies in 1..k and sum c[i].k^i = N.  The
-    last result is kept, so the closed forms asked about one pile share one
-    configuration.
+    height index already bounds N - repunit(n, k) below k^n, so its n digits
+    come straight from the splitter, least significant first, which is the
+    order of the layers from the root.  The last result is kept, so the
+    closed forms asked about one pile share one configuration.
     """
     n = height_index(N, k)
-    a = to_base(N - repunit(n, k), k, n)
-    return tuple(d + 1 for d in reversed(a.digits))
+    digits: list[int] = []
+    _split(N - repunit(n, k), k, n, digits)
+    return tuple(d + 1 for d in digits)
 
 
 def _certifying(N: int, k: int) -> str:
@@ -266,7 +273,9 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     equation fails and the pile.  With f it returns the pile's `SimResult`,
     whose total fires is sum f_i.k^i over the k^i vertices of each layer; it
     is the only code that builds one.  Without f it returns None.  Either
-    way c must not be empty: a pile of N >= 1 chips holds some on layer 1.
+    way c must not be empty: a pile of N >= 1 chips holds some on layer 1,
+    and an empty c is named by the walk below as N chips left for layer 1,
+    or, for N = 0, as a pile without chips.
 
     With f: every c_i lies in 1..k, the last layer does not fire,
     f_(n-1) = 0, and N.e0 - L.f = c, where L is the layer matrix of
@@ -283,31 +292,23 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     exact form.  Row i > 0 reads f_(i-1) - f_i = c_i + k.(f_i - f_(i+1)),
     so the rows are checked from the last layer up as differences, each
     fixing the fires of the layer above it.  The same loop sums the total
-    by Horner's rule.  A failure with f runs the check without f first, so
-    a wrong chip count is named as chips, with or without f; with c right,
-    row 0 follows from the other rows, and one wrong fire count is named at
-    its own layer.
+    by Horner's rule.  This bottom-up pass is the proof; it runs only when c
+    is nonempty, in 1..k and as long as f, and names no fault.  A failure
+    with f runs the check without f first, so a wrong chip count is named
+    as chips, with or without f; with c right, row 0 follows from the other
+    rows, and one wrong fire count is named at its own layer.
 
     Without f: c_i in 1..k and sum c_i.k^i = N, which by the same
     uniqueness make c the stable configuration.  The sum is Horner's rule
     read from the root: r = N, and each layer takes r to (r - c_i) / k,
-    which must divide exactly and end at 0.  So the first wrong digit is
-    named at its layer, and the check shares no code with the conversion
-    that `stable_config` runs (`_split`, `_join`, `_power`).
+    which must divide exactly and end at 0.  The same walk checks that c_i
+    lies in 1..k before it divides.  So the first wrong digit, in range or
+    not, is named at its layer: of two faults the one nearer the root.  The
+    check shares no code with the conversion that `stable_config` runs
+    (`_split`, `_join`, `_power`).
     """
-    if c and not 1 <= min(c) <= max(c) <= k:
-        i, ci = next((i, ci) for i, ci in enumerate(c) if not 1 <= ci <= k)
-        raise AssertionError(f"{_certifying(N, k)}: layer {format_int(i + 1)} holds "
-                             f"{format_int(ci)} chips per vertex, outside "
-                             f"1..{format_int(k)}")
     n = len(c)
-    if not n:
-        if N:
-            raise AssertionError(f"{_certifying(N, k)}: {format_int(N)} chips per vertex "
-                                 "are left for layer 1")
-        raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
-                             "N >= 1")
-    if f is not None and len(f) == n and not f[-1]:
+    if f is not None and n and len(f) == n and not f[-1] and 1 <= min(c) and max(c) <= k:
         delta = 0  # f_i - f_(i+1), from i = n-1 up
         total = 0  # Horner's rule over f from the last layer up; f_(n-1) = 0 adds nothing
         for i in range(n - 1, 0, -1):
@@ -322,6 +323,10 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     # without f, or with f and a failed check: a wrong chip count is named first
     r = N
     for j, cj in enumerate(c):
+        if not 1 <= cj <= k:
+            raise AssertionError(f"{_certifying(N, k)}: layer {format_int(j + 1)} holds "
+                                 f"{format_int(cj)} chips per vertex, outside "
+                                 f"1..{format_int(k)}")
         r, rest = divmod(r - cj, k)
         if rest:
             digit = (cj + rest - 1) % k + 1  # the digit of 1..k that divides
@@ -331,6 +336,9 @@ def certify(N: int, k: int, c, f=None) -> SimResult | None:
     if r:  # N = sum c_i.k^i + r.k^n
         raise AssertionError(f"{_certifying(N, k)}: {format_int(r)} chips per vertex "
                              f"are left for layer {format_int(n + 1)}")
+    if not n:  # N = 0
+        raise AssertionError(f"{_certifying(N, k)}: no layer holds chips; a pile needs "
+                             "N >= 1")
     if f is None:
         return None
     if len(f) != n:

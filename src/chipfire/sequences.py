@@ -223,26 +223,27 @@ def json_text(obj) -> str:
     return json.dumps(obj)
 
 
-def emit_bfile(window: SequenceWindow, sink: TextIO) -> None:
-    """OEIS b-file lines: "index value", newline-terminated, ASCII decimal."""
+def _pairs(window: SequenceWindow):
+    """(index, value) of every term, refusing an empty window before any output."""
     if not window.values:
         raise ValueError("refusing to emit an empty window")
-    for i, v in enumerate(window.values, window.start):
+    return enumerate(window.values, window.start)
+
+
+def emit_bfile(window: SequenceWindow, sink: TextIO) -> None:
+    """OEIS b-file lines: "index value", newline-terminated, ASCII decimal."""
+    for i, v in _pairs(window):
         sink.write(f"{format_int(i)} {format_int(v)}\n")
 
 
 def emit_csv(window: SequenceWindow, sink: TextIO, header: bool = False) -> None:
-    if not window.values:
-        raise ValueError("refusing to emit an empty window")
+    pairs = _pairs(window)
     if header:
         sink.write("index,value\n")
-    for i, v in enumerate(window.values, window.start):
+    for i, v in pairs:
         sink.write(f"{format_int(i)},{format_int(v)}\n")
 
 
 def emit_json(window: SequenceWindow, sink: TextIO) -> None:
     """Canonical JSON array of [index, value] pairs (round-trips byte-exactly)."""
-    if not window.values:
-        raise ValueError("refusing to emit an empty window")
-    pairs = [[i, v] for i, v in enumerate(window.values, window.start)]
-    sink.write(json_text(pairs) + "\n")
+    sink.write(json_text([[i, v] for i, v in _pairs(window)]) + "\n")

@@ -132,8 +132,9 @@ def test_verify_reports_first_mismatch(monkeypatch):
 
 
 def test_verify_cell_derives_one_stable_configuration(monkeypatch):
-    # the stable digits come from one to_base call; every closed form of the
-    # cell reads that configuration, not a conversion of its own
+    # the stable digits are derived once per cell, straight from the splitter;
+    # every closed form of the cell reads that configuration, not a conversion
+    # of its own
     calls = []
     real = numerics.to_base
 
@@ -143,9 +144,10 @@ def test_verify_cell_derives_one_stable_configuration(monkeypatch):
 
     monkeypatch.setattr(numerics, "to_base", counted_to_base)
     for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
-        calls.clear()
+        numerics.stable_config.cache_clear()
         cli._verify_cell(N, k, [("simulate_layers", engine.simulate_layers(N, k))])
-        assert len(calls) <= 1, (N, k, calls)
+        assert numerics.stable_config.cache_info().misses == 1, (N, k)
+        assert calls == [], (N, k, calls)
 
 
 def test_verify_runs_one_avalanche_stream_per_k(monkeypatch):

@@ -260,6 +260,11 @@ def test_certify_names_the_layer_of_a_wrong_digit():
     ((9, 3, (3, 2, 1)), "layer 3 holds 1 chips per vertex, not 3"),
     ((0, 2, (), ()), "no layer holds chips; a pile needs N >= 1"),
     ((0, 2, ()), "no layer holds chips; a pile needs N >= 1"),
+    # N = 100's is (1, 3, 1, 3), fired (46, 13, 3, 0): of two faults, a wrong
+    # digit at layer 1 and a count outside 1..3 at layer 4, the one nearer
+    # the root is named
+    ((100, 3, (2, 3, 1, 4)), "layer 1 holds 2 chips per vertex, not 1"),
+    ((100, 3, (2, 3, 1, 4), (46, 13, 3, 0)), "layer 1 holds 2 chips per vertex, not 1"),
 ])
 def test_certify_rejects(args, message):
     with pytest.raises(AssertionError) as exc:
