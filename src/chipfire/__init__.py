@@ -23,7 +23,6 @@ from .formulas import (
     total_fires,
     total_fires_rec,
     vertex_fires,
-    vertex_fires_via_root,
 )
 from .numerics import (
     DigitString,
@@ -87,5 +86,4 @@ __all__ = [
     "total_fires",
     "total_fires_rec",
     "vertex_fires",
-    "vertex_fires_via_root",
 ]

@@ -149,8 +149,6 @@ def cmd_verify(args) -> int:
                 results += [(f"{label} from zero", engine.simulate(N, k, strategy=s, seed=seed))
                             for label, s, seed in orders]
             _verify_cell(N, k, results)
-        for i in range(numerics.height_index(top, k)):  # the deepest pile's layers
-            formulas.crosscheck("vertex_fires", top, k, i)
         print(f"k={format_int(k)}: formulas match engine for "
               f"N=1..{format_int(top)}")
         if strategies:
@@ -240,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run random once per seed 0..SEEDS-1; bfs and max-chips "
                         "run once (default 1)")
     p.add_argument("--node-N", type=_decimal, default=None,
-                   help="cap pile size for node-level runs (default min(N, 300))")
+                   help="top pile of the node-level runs (default min(N, 300)); "
+                        "with --strategies every pile to max(N, NODE_N) is checked")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schizo",

@@ -1,20 +1,19 @@
 """Closed-form and recursive fire counts for chip-firing on the k-ary tree.
 
 Each quantity is implemented at least twice (closed form, recursion, and for
-the difference sequences a digit-replacement construction as well).  The
-stable chips and the fires per layer, `stable_chips` and `fires_by_layer`,
-are the exception: one formula route each, and the engine's certified run is
-their second route, which `verify` holds them to.  Routes are listed once, in
-`ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0` and `D_diff` are one
-call to it each) and compared by `_agree`, the package's one comparison of
-routes.  A route calls only its own family, and the engine that the tests
-check everything against imports nothing here.  Every route rejects k < 2 and
-an index below its least value itself, so a route called alone, as an
-independent reference, refuses what `crosscheck` refuses.
+the difference sequences a digit-replacement construction as well).  Routes
+are listed once, in `ROUTES`, run by `crosscheck` (`a_seq`, `b_seq`, `d0`
+and `D_diff` are one call to it each) and compared by `_agree`, the
+package's one comparison of routes.  A route calls only its own family, and
+the engine that the tests check everything against imports nothing here.
+Every route rejects k < 2 and an index below its least value itself, so a
+route called alone, as an independent reference, refuses what `crosscheck`
+refuses.
 
-The fire counts are written over the stable digits c_0..c_(n-1) of N and each
-is one pass over them, O(n) big-integer steps.  The fires per vertex come from
-the difference recurrences
+A pile has two formula families.  The closed forms are written over the
+stable digits c_0..c_(n-1) of N, and each is one pass over them, O(n)
+big-integer steps.  The fires per vertex come from the difference
+recurrences
 
     delta_(n-1) = 0,  delta_i = c_(i+1) + k * delta_(i+1)
     f_(n-1) = 0,      f_i = f_(i+1) + delta_i
@@ -22,6 +21,9 @@ the difference recurrences
 which unroll to f_i = sum over j of repunit(j) * c_(i+j); root and total fires
 are closed forms summed with a running power of k.  `stable_config` keeps the
 last pile's configuration, so the closed forms of one pile share its digits.
+The recursions f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1) and
+F(N) = f0(N) + k * F(ceil(N/k) - 1), and the chips and fires of every layer,
+all read one chain, `_chain`, kept for the last pile too.
 
 Conventions: N is the initial pile at the root, k >= 2 the branching factor,
 n = height_index(N, k), and layer indices i run 0..n-1 with layer index i
@@ -30,19 +32,10 @@ naming the tree layer i+1 (so i = 0 is the root).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .numerics import (_require_at_least, _require_k, exact_div, format_int,
                        height_index, nu, repunit, stable_config)
-
-
-def _fires_by_layer(c: tuple[int, ...], k: int) -> list[int]:
-    """f_i for every layer i, by the two difference recurrences in n steps."""
-    n = len(c)
-    f = [0] * n
-    delta = 0
-    for i in range(n - 2, -1, -1):
-        delta = c[i + 1] + k * delta
-        f[i] = f[i + 1] + delta
-    return f
 
 
 def _check_layer(i: int, n: int) -> None:
@@ -52,21 +45,10 @@ def _check_layer(i: int, n: int) -> None:
 
 
 def vertex_fires(N: int, k: int, i: int) -> int:
-    """Fires of each vertex on layer i+1: sum of repunit(j) * c_(i+j).
-
-    Evaluated by f_i = f_(i+1) + delta_i in O(n) steps.
-    """
-    c = stable_config(N, k)
-    _check_layer(i, len(c))
-    return _fires_by_layer(c, k)[i]
-
-
-def vertex_fires_via_root(N: int, k: int, i: int) -> int:
-    """Layer fires reduced to root fires of the pile truncated to n-i digits."""
-    n = height_index(N, k)
-    _check_layer(i, n)
-    shifted = (N - repunit(n, k)) // k**i + repunit(n - i, k)
-    return root_fires(shifted, k)
+    """Fires of each vertex on layer i+1: entry i of `fire_profile`."""
+    f = fire_profile(N, k)
+    _check_layer(i, len(f))
+    return f[i]
 
 
 def root_fires(N: int, k: int) -> int:
@@ -76,18 +58,6 @@ def root_fires(N: int, k: int) -> int:
     because sum c_j k^j = N.
     """
     return exact_div(N - sum(stable_config(N, k)), k - 1)
-
-
-def root_fires_rec(N: int, k: int) -> int:
-    """Root fires by the recursion f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1)."""
-    _require_at_least("N", N, 1)
-    _require_k(k)
-    total = 0
-    x = N
-    while x > 0:
-        x = (x - 1) // k  # ceil(x/k) - 1
-        total += x
-    return total
 
 
 def total_fires(N: int, k: int) -> int:
@@ -104,27 +74,6 @@ def total_fires(N: int, k: int) -> int:
     return exact_div(s, (k - 1) ** 2)
 
 
-def total_fires_rec(N: int, k: int) -> int:
-    """Total fires by the recursion F(N) = f0(N) + k * F(ceil(N/k) - 1), unrolled.
-
-    With q_0 = N and q_i = ceil(q_(i-1)/k) - 1, the root fires are
-    f0(q_j) = sum over i > j of q_i, so F(N) = sum over j of k^j f0(q_j)
-    = sum over i >= 1 of q_i * repunit(i): one pass with a running repunit
-    r = k*r + 1.  It calls no other route and stays independent of the
-    closed forms.
-    """
-    _require_at_least("N", N, 1)
-    _require_k(k)
-    total = 0
-    r = 0  # repunit(i)
-    x = N
-    while x > 0:
-        x = (x - 1) // k  # q_i
-        r = k * r + 1
-        total += x * r
-    return total
-
-
 def fire_profile(N: int, k: int) -> tuple[int, ...]:
     """Fires per vertex by layer, f_0..f_(n-1), by the difference recurrences.
 
@@ -132,7 +81,75 @@ def fire_profile(N: int, k: int) -> tuple[int, ...]:
     layer, is the `total_fires` of the `SimResult` that `numerics.certify`
     returns once it has proven f.
     """
-    return tuple(_fires_by_layer(stable_config(N, k), k))
+    c = stable_config(N, k)
+    f = [0] * len(c)
+    delta = 0
+    for i in range(len(c) - 2, -1, -1):
+        delta = c[i + 1] + k * delta
+        f[i] = f[i + 1] + delta
+    return tuple(f)
+
+
+@lru_cache(maxsize=1)
+def _chain(N: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Chips and fires per layer and the total fires of pile N, by one chain.
+
+    q_0 = N and q_(i+1) = ceil(q_i/k) - 1 = (q_i - 1) // k while positive,
+    which gives n terms, and q_n = 0; each vertex of layer i+1 fires as the
+    root of the pile q_i does.  Then c_i = q_i - k q_(i+1), the remainder of
+    that division plus one, f_i = sum over j > i of q_j, and the total is
+    sum f_i k^i by Horner's rule from the deepest layer.  n divisions and
+    sums of up to n digits each, so quadratic in the digits of N, and q and
+    f hold about n^2/2 digits each.  It calls no closed form.  The last pile
+    is kept, so the recursion routes of one pile (as in a `verify` cell)
+    walk the chain once.
+    """
+    _require_at_least("N", N, 1)
+    _require_k(k)
+    q, c = [], []
+    x = N
+    while x:
+        q.append(x)
+        x, r = divmod(x - 1, k)
+        c.append(r + 1)
+    f = []
+    s = total = 0  # s = f_i, from the deepest layer up
+    for x in reversed(q):
+        f.append(s)
+        total = total * k + s
+        s += x
+    f.reverse()
+    return tuple(c), tuple(f), total
+
+
+def stable_config_rec(N: int, k: int) -> tuple[int, ...]:
+    """Stable chips per vertex by layer, c_i = q_i - k q_(i+1), off the chain."""
+    return _chain(N, k)[0]
+
+
+def fire_profile_rec(N: int, k: int) -> tuple[int, ...]:
+    """Fires per vertex by layer, f_i = sum over j > i of q_j, off the chain.
+
+    That is f_i = f0(q_i): the fires of layer i+1 are the root fires of the
+    pile truncated to q_i = (N - repunit(n))//k^i + repunit(n - i) chips.
+    """
+    return _chain(N, k)[1]
+
+
+def root_fires_rec(N: int, k: int) -> int:
+    """Root fires by the recursion f0(N) = ceil(N/k) - 1 + f0(ceil(N/k) - 1).
+
+    Unrolled, f0(N) = sum over i >= 1 of q_i, the chain's f_0.
+    """
+    return _chain(N, k)[1][0]
+
+
+def total_fires_rec(N: int, k: int) -> int:
+    """Total fires by the recursion F(N) = f0(N) + k * F(ceil(N/k) - 1), unrolled.
+
+    F(N) = sum over i of k^i f0(q_i) = sum f_i k^i, the chain's total.
+    """
+    return _chain(N, k)[2]
 
 
 # --- the all-ones pile N = repunit(n, k) -----------------------------------
@@ -330,9 +347,8 @@ ROUTES = {
     "D": (D_via_a_seq, D_recursive, D_explicit),
     "root_fires": (root_fires, root_fires_rec),
     "total_fires": (total_fires, total_fires_rec),
-    "vertex_fires": (vertex_fires, vertex_fires_via_root),
-    "stable_chips": (stable_config,),
-    "fires_by_layer": (fire_profile,),
+    "stable_chips": (stable_config, stable_config_rec),
+    "fires_by_layer": (fire_profile, fire_profile_rec),
 }
 
 

@@ -134,7 +134,7 @@ def test_verify_reports_first_mismatch(monkeypatch):
 def test_verify_cell_derives_one_stable_configuration(monkeypatch):
     # the stable digits are derived once per cell, straight from the splitter;
     # every closed form of the cell reads that configuration, not a conversion
-    # of its own
+    # of its own, and every recursion route reads one walk of the chain
     calls = []
     real = numerics.to_base
 
@@ -145,8 +145,10 @@ def test_verify_cell_derives_one_stable_configuration(monkeypatch):
     monkeypatch.setattr(numerics, "to_base", counted_to_base)
     for N, k in [(10**12 + 39, 3), (987654, 2), (4321, 7)]:
         numerics.stable_config.cache_clear()
+        formulas._chain.cache_clear()
         cli._verify_cell(N, k, [("simulate_layers", engine.simulate_layers(N, k))])
         assert numerics.stable_config.cache_info().misses == 1, (N, k)
+        assert formulas._chain.cache_info().misses == 1, (N, k)
         assert calls == [], (N, k, calls)
 
 
@@ -245,15 +247,20 @@ def test_verify_reads_every_formula_route_from_the_route_table(monkeypatch):
 
 
 def test_verify_checks_vertex_fires_on_the_deepest_pile(monkeypatch):
-    real = formulas.vertex_fires_via_root
-    monkeypatch.setitem(formulas.ROUTES, "vertex_fires",
-                        (formulas.vertex_fires,
-                         lambda N, k, i: real(N, k, i) + (i == 1)))
+    # every layer of every pile has two formula routes, the deepest pile's too
+    real = formulas.fire_profile_rec
+
+    def wrong_at_60(N, k):
+        f = real(N, k)
+        return f[:1] + (f[1] + 1,) + f[2:] if N == 60 else f
+
+    monkeypatch.setitem(formulas.ROUTES, "fires_by_layer", (formulas.fire_profile, wrong_at_60))
     code, out, err = run(["verify", "-k", "2", "-N", "60"])
     assert code == 1 and not err
     # the one line is the FAIL, before the k's formula line
-    assert out == ("FAIL: vertex_fires(60, 2, 1): routes disagree: "
-                   "vertex_fires 22, <lambda> 23\n")
+    assert out == ("FAIL: fires_by_layer(60, 2): routes disagree: "
+                   "avalanche [51, 22, 8, 2, 0], fire_profile [51, 22, 8, 2, 0], "
+                   "wrong_at_60 [51, 23, 8, 2, 0]\n")
 
 
 def test_every_route_runs_in_the_product(monkeypatch):
@@ -339,9 +346,9 @@ def _one_root_fire_too_many(monkeypatch):
 
 
 def _wrong_fires_at_layer_2(monkeypatch):
-    real = formulas._fires_by_layer
-    monkeypatch.setattr(formulas, "_fires_by_layer",
-                        lambda c, k: [f + (i == 1) for i, f in enumerate(real(c, k))])
+    real = formulas.fire_profile
+    monkeypatch.setattr(formulas, "fire_profile",
+                        lambda N, k: tuple(f + (i == 1) for i, f in enumerate(real(N, k))))
 
 
 def _wrong_digit_at_layer_2(monkeypatch):

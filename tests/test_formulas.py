@@ -21,7 +21,6 @@ from chipfire.formulas import (
     total_fires,
     total_fires_rec,
     vertex_fires,
-    vertex_fires_via_root,
 )
 from chipfire.numerics import height_index, repunit, stable_config
 
@@ -81,14 +80,16 @@ def test_telescoping_differences():
 
 
 def test_vertex_fires_via_root():
-    assert vertex_fires_via_root(15, 2, 1) == root_fires(7, 2) == 4
-    assert vertex_fires_via_root(9, 3, 1) == 0
-    assert ROUTES["vertex_fires"] == (vertex_fires, vertex_fires_via_root)
+    # the paper's reduction: layer i+1 fires as the root of the pile truncated
+    # to (N - repunit(n))//k^i + repunit(n - i) chips
+    assert fire_profile(15, 2)[1] == root_fires(7, 2) == 4
+    assert fire_profile(9, 3)[1] == 0
     for k in (2, 3, 4, 6):
         for N in range(1, 300):
             n = height_index(N, k)
-            for i in range(n):
-                assert formulas.crosscheck("vertex_fires", N, k, i) == vertex_fires(N, k, i)
+            assert fire_profile(N, k) == tuple(
+                root_fires((N - repunit(n, k)) // k**i + repunit(n - i, k), k)
+                for i in range(n)), (N, k)
 
 
 def test_root_fires_examples():
@@ -356,17 +357,25 @@ ROUTE_CHECKS = {
     total_fires: ((40, 3), 0, _NO_HEIGHT),
     root_fires_rec: ((40, 3), 0, "need N >= 1, got 0"),
     total_fires_rec: ((40, 3), 0, "need N >= 1, got 0"),
-    vertex_fires: ((40, 3, 1), 0, _NO_HEIGHT),
-    vertex_fires_via_root: ((40, 3, 1), 0, _NO_HEIGHT),
     stable_config: ((40, 3), 0, _NO_HEIGHT),
+    formulas.stable_config_rec: ((40, 3), 0, "need N >= 1, got 0"),
     fire_profile: ((40, 3), 0, _NO_HEIGHT),
+    formulas.fire_profile_rec: ((40, 3), 0, "need N >= 1, got 0"),
     d0_by_replacement: ((20, 3), 0, "need count >= 1, got 0"),
+    vertex_fires: ((40, 3, 1), 0, _NO_HEIGHT),
 }
 
 
 def test_route_checks_cover_every_route():
+    # d0_by_replacement and vertex_fires are in no table, and checked all the same
     assert set(ROUTE_CHECKS) == {r for routes in ROUTES.values() for r in routes} | {
-        d0_by_replacement}
+        d0_by_replacement, vertex_fires}
+
+
+def test_every_quantity_has_two_routes():
+    # every pile quantity of a verify cell included, at every pile
+    for quantity, routes in ROUTES.items():
+        assert len(routes) >= 2, quantity
 
 
 @pytest.mark.parametrize("route", ROUTE_CHECKS, ids=lambda r: r.__name__)

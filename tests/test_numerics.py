@@ -297,8 +297,6 @@ RANGE_CHECKS = [  # (id, call, its message)
      f"{BIG_TEXT} is not divisible by 2"),
     ("vertex_fires", lambda: formulas.vertex_fires(9, 3, BIG),
      f"layer index {BIG_TEXT} out of range for height index 2"),
-    ("vertex_fires_via_root", lambda: formulas.vertex_fires_via_root(9, 3, BIG),
-     f"layer index {BIG_TEXT} out of range for height index 2"),
     ("special_vertex_fires", lambda: formulas.special_vertex_fires(3, 2, BIG),
      f"layer index {BIG_TEXT} out of range for height index 3"),
     ("root_fires", lambda: formulas.root_fires(NEG, 2),

@@ -272,6 +272,16 @@ def test_fire_counts_equal_their_definitional_sums(N, k, data):
         assert profile[i] - profile[i + 1] == delta
 
 
+@bounded(300)
+@given(N=st.integers(1, 10**80 - 1), k=st.integers(2, 40))
+def test_the_recursion_chain_equals_the_closed_forms(N, k):
+    # one chain q_(i+1) = (q_i - 1) // k is the second route of every pile quantity
+    assert formulas.stable_config_rec(N, k) == stable_config(N, k)
+    assert formulas.fire_profile_rec(N, k) == fire_profile(N, k)
+    assert formulas.root_fires_rec(N, k) == root_fires(N, k)
+    assert total_fires_rec(N, k) == total_fires(N, k)
+
+
 @bounded(100)
 @given(N=st.integers(10**49, 10**200 - 1), k=st.integers(2, 64), data=st.data())
 def test_certificate_accepts_the_outcome_and_names_one_wrong_layer(N, k, data):
